@@ -70,13 +70,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     p = ModelParams(args.m, as_gamma(args.gamma))
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
+    b = dec.bulk_smooth(xs)
+    e = dec.edge_smooth(xs)
+    cx2 = dec.singular.c_inv_x2 / (xs * xs)
+    columns = (xs, b, e, b + e, b + e - cx2, cx2)
     lines = ["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2"]
-    for x in xs:
-        x = float(x)
-        b = float(dec.bulk_smooth(x))
-        e = float(dec.edge_smooth(x))
-        cx2 = dec.singular.c_inv_x2 / (x * x)
-        lines.append(",".join(_fmt(v) for v in (x, b, e, b + e, b + e - cx2, cx2)))
+    lines += [",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns))]
     _write(args.out, "\n".join(lines) + "\n")
     sidecar = {
         "m": p.m,

@@ -23,13 +23,15 @@ from .params import ModelParams, reflection_dual
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
-def heaviside(t: float) -> float:
-    """Step function with the documented midpoint convention Theta(0) = 1/2."""
-    if t > 0:
-        return 1.0
-    if t < 0:
-        return 0.0
-    return 0.5
+def _as_output(a):
+    """A 0-d result as a Python float; arrays pass through."""
+    a = np.asarray(a)
+    return a if a.ndim else float(a)
+
+
+def heaviside(t: float | np.ndarray) -> float | np.ndarray:
+    """Step function with the documented midpoint convention Theta(0) = 1/2; broadcasts."""
+    return _as_output(np.heaviside(t, 0.5))
 
 
 def _reject_cpt_invariant(p: ModelParams) -> None:
@@ -224,7 +226,7 @@ class SingularPart:
 class BulkClosedForm:
     """Smooth x > 0 value of j^2_bulk plus its two delta'(x) coefficients."""
 
-    smooth: float
+    smooth: float | np.ndarray
     c_log_delta_prime: float
     c_delta_prime: float
 
@@ -235,53 +237,66 @@ def _gamma_value_checked(p: ModelParams) -> float | None:
     return None if p.gamma.is_infinite else p.gamma.value
 
 
-def closed_form_bulk_j2(p: ModelParams, x: float, Lambda: float = math.e) -> BulkClosedForm:
-    """Closed-form bulk current at x > 0 for m >= 0.
+def _closed_form_domain(p: ModelParams, x: float | np.ndarray) -> np.ndarray:
+    """x as a float array; rejects any x <= 0 and m < 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise OutOfDomain(f"closed form only valid at x > 0, got x={x.min()}")
+    if p.m < 0:
+        raise OutOfDomain("closed forms are derived for m >= 0; use total_decomposition")
+    return x
+
+
+def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray,
+                        Lambda: float = math.e) -> BulkClosedForm:
+    """Closed-form bulk current at x > 0 for m >= 0; x broadcasts.
 
     smooth = [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx}
              - [g/(pi (g^2-1))] (1/(2x^2)) Theta(g^2-1),
-    with delta' coefficients -(1/2pi)(g^2+1)/(g^2-1) (times ln Lambda) and
-    [g/(pi (g^2-1))] ln|(1+g)/(1-g)|.  All terms vanish in the gamma = inf
-    limit except the ln Lambda coefficient, which tends to -(1/2pi).
+    with the two delta' coefficients of singular_part.  The smooth part
+    vanishes in the gamma = inf limit.
     """
-    if x <= 0:
-        raise OutOfDomain(f"closed form only valid at x > 0, got x={x}")
-    if p.m < 0:
-        raise OutOfDomain("closed forms are derived for m >= 0; use total_decomposition")
+    x = _closed_form_domain(p, x)
     if Lambda <= 1:
         raise OutOfDomain(f"cutoff must satisfy Lambda > 1, got {Lambda}")
-    g = _gamma_value_checked(p)
+    s = singular_part(p)
+    g = p.gamma.value
     if g is None:
-        return BulkClosedForm(smooth=0.0, c_log_delta_prime=-1.0 / (2.0 * math.pi),
-                              c_delta_prime=0.0)
-    m = p.m
-    c = g / (2.0 * math.pi * (g * g - 1.0))
-    smooth = c * (1.0 / (2.0 * x * x) + m / x) * math.exp(-2.0 * m * x)
-    smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * heaviside(g * g - 1.0)
-    c_log = -(1.0 / (2.0 * math.pi)) * (g * g + 1.0) / (g * g - 1.0)
-    c_dip = 0.0 if g == 0.0 else (g / (math.pi * (g * g - 1.0))) * math.log(abs((1.0 + g) / (1.0 - g)))
-    return BulkClosedForm(smooth=smooth, c_log_delta_prime=c_log, c_delta_prime=c_dip)
+        smooth = np.zeros_like(x)
+    else:
+        c = g / (2.0 * math.pi * (g * g - 1.0))
+        smooth = c * (1.0 / (2.0 * x * x) + p.m / x) * np.exp(-2.0 * p.m * x)
+        smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * heaviside(g * g - 1.0)
+    return BulkClosedForm(smooth=_as_output(smooth), c_log_delta_prime=s.c_log_delta_prime,
+                          c_delta_prime=s.c_delta_prime)
 
 
-def closed_form_edge_j2(p: ModelParams, x: float) -> float:
-    """Closed-form edge current at x > 0 for m >= 0.
+def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form edge current at x > 0 for m >= 0; x broadcasts.
 
     [g/(pi (g^2-1))] [ (1/(2x^2)) Theta(g^2-1)
                        - (1/(2x^2) + m/(g x)) e^{-2mx/g} Theta(g) ].
     Vanishes identically for gamma in (-1, 0) and for gamma in {0, inf}.
     """
-    if x <= 0:
-        raise OutOfDomain(f"closed form only valid at x > 0, got x={x}")
-    if p.m < 0:
-        raise OutOfDomain("closed forms are derived for m >= 0; use total_decomposition")
+    x = _closed_form_domain(p, x)
     g = _gamma_value_checked(p)
     if g is None or g == 0.0:
-        return 0.0
+        return _as_output(np.zeros_like(x))
     c = g / (math.pi * (g * g - 1.0))
     out = c * (1.0 / (2.0 * x * x)) * heaviside(g * g - 1.0)
     if g > 0:
-        out -= c * (1.0 / (2.0 * x * x) + p.m / (g * x)) * math.exp(-2.0 * p.m * x / g)
-    return out
+        out -= c * (1.0 / (2.0 * x * x) + p.m / (g * x)) * np.exp(-2.0 * p.m * x / g)
+    return _as_output(out)
+
+
+def _singular_coefficients(g: float | None) -> tuple[float, float, float]:
+    """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None."""
+    if g is None:
+        return -1.0 / (2.0 * math.pi), 0.0, 0.0
+    c_log = -(1.0 / (2.0 * math.pi)) * (g * g + 1.0) / (g * g - 1.0)
+    c_dip = 0.0 if g == 0.0 else (g / (math.pi * (g * g - 1.0))) * math.log(abs((1.0 + g) / (1.0 - g)))
+    c_x2 = -abs(g) / (4.0 * math.pi * (g * g - 1.0))
+    return c_log, c_dip, c_x2
 
 
 def singular_part(p: ModelParams) -> SingularPart:
@@ -290,13 +305,7 @@ def singular_part(p: ModelParams) -> SingularPart:
     c_log = -(1/2pi)(g^2+1)/(g^2-1), c_dipole = [g/(pi(g^2-1))] ln|(1+g)/(1-g)|,
     c_x2 = -|g|/(4 pi (g^2-1)); analytic gamma = inf limits (-1/2pi, 0, 0).
     """
-    g = _gamma_value_checked(p)
-    if g is None:
-        return SingularPart(-1.0 / (2.0 * math.pi), 0.0, 0.0)
-    c_log = -(1.0 / (2.0 * math.pi)) * (g * g + 1.0) / (g * g - 1.0)
-    c_dip = 0.0 if g == 0.0 else (g / (math.pi * (g * g - 1.0))) * math.log(abs((1.0 + g) / (1.0 - g)))
-    c_x2 = -abs(g) / (4.0 * math.pi * (g * g - 1.0))
-    return SingularPart(c_log, c_dip, c_x2)
+    return SingularPart(*_singular_coefficients(_gamma_value_checked(p)))
 
 
 @dataclass(frozen=True)
@@ -318,8 +327,7 @@ class CurrentDecomposition:
 
     def regular(self, x):
         x = np.asarray(x, dtype=float)
-        out = self.total_smooth(x) - self.singular.c_inv_x2 / (x * x)
-        return out if out.shape else float(out)
+        return _as_output(self.total_smooth(x) - self.singular.c_inv_x2 / (x * x))
 
 
 def total_decomposition(p: ModelParams) -> CurrentDecomposition:
@@ -330,19 +338,9 @@ def total_decomposition(p: ModelParams) -> CurrentDecomposition:
         return CurrentDecomposition(
             params=p,
             singular=dual.singular.neg(),
-            bulk_smooth=lambda x, f=dual.bulk_smooth: -np.asarray(f(x)),
-            edge_smooth=lambda x, f=dual.edge_smooth: -np.asarray(f(x)),
+            bulk_smooth=lambda x, f=dual.bulk_smooth: -f(x),
+            edge_smooth=lambda x, f=dual.edge_smooth: -f(x),
         )
-
-    def bulk_smooth(x):
-        x = np.asarray(x, dtype=float)
-        out = np.vectorize(lambda xx: closed_form_bulk_j2(p, xx).smooth)(x)
-        return out if out.shape else float(out)
-
-    def edge_smooth(x):
-        x = np.asarray(x, dtype=float)
-        out = np.vectorize(lambda xx: closed_form_edge_j2(p, xx))(x)
-        return out if out.shape else float(out)
-
     return CurrentDecomposition(params=p, singular=singular_part(p),
-                                bulk_smooth=bulk_smooth, edge_smooth=edge_smooth)
+                                bulk_smooth=lambda x: closed_form_bulk_j2(p, x).smooth,
+                                edge_smooth=lambda x: closed_form_edge_j2(p, x))

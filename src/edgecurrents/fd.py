@@ -47,15 +47,15 @@ def apply_dirac_fd(field: np.ndarray, p: ModelParams, h: float) -> np.ndarray:
 
 
 def sample_on_grid(fn, x0: float, y0: float, nx: int, ny: int, h: float) -> np.ndarray:
-    """Tabulate a spinor-valued function on a uniform (nx, ny) grid."""
+    """Tabulate a spinor-valued function on a uniform (nx, ny) grid.
+
+    ``fn(x, y)`` is called once, on the broadcast mesh x of shape (nx, 1) and
+    y of shape (1, ny), and returns a SpinorValue of arrays.
+    """
     xs = x0 + h * np.arange(nx)
     ys = y0 + h * np.arange(ny)
     grid = np.empty((nx, ny, 2), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            s = fn(x, y)
-            grid[i, j, 0] = s.c1
-            grid[i, j, 1] = s.c2
+    grid[...] = fn(xs[:, None], ys[None, :]).as_array()
     return grid
 
 

@@ -17,8 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .currents import _singular_coefficients
 from .errors import CptInvariantBoundary, DegeneratePair, UndefinedEpsilon
-from .params import (GAMMA_INFINITY, BoundaryCharacter, GammaLike, ProjectiveReal,
+from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_eta_theta,
                      as_gamma, boost, boundary_character)
 
 
@@ -48,16 +49,9 @@ def make_system(gammas: Iterable[GammaLike]) -> FermionSystem:
 
 
 def _summands(g: ProjectiveReal) -> tuple[float, float, float]:
-    """(r_log, r_x2, r_dipole) contributions of one species; analytic limits at 0, inf."""
-    if g.is_infinite:
-        return 1.0, 0.0, 0.0
-    v = g.value
-    if v == 0.0:
-        return -1.0, 0.0, 0.0
-    d = v * v - 1.0
-    return ((v * v + 1.0) / d,
-            abs(v) / d,
-            v / (math.pi * d) * math.log(abs((1.0 + v) / (1.0 - v))))
+    """(r_log, r_x2, r_dipole) of one species: the singular_part coefficients rescaled."""
+    c_log, c_dip, c_x2 = _singular_coefficients(None if g.is_infinite else g.value)
+    return -2.0 * math.pi * c_log, -4.0 * math.pi * c_x2, c_dip
 
 
 @dataclass(frozen=True)
@@ -164,13 +158,6 @@ def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float],
 
 
 _THETA_LATTICE = tuple(np.linspace(-3.0, 3.0, 13))
-
-
-def _gamma_from_eta_theta(eta: int, theta: float) -> ProjectiveReal:
-    r = eta * math.exp(theta)
-    if r == -1.0:
-        return GAMMA_INFINITY
-    return ProjectiveReal((r - 1.0) / (r + 1.0))
 
 
 def _target_vector(gammas: list[ProjectiveReal], targets: tuple[str, ...]) -> np.ndarray:

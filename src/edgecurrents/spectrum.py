@@ -20,13 +20,36 @@ from .params import GammaLike, ModelParams, as_gamma
 
 @dataclass(frozen=True)
 class SpinorValue:
-    """Two-component spinor value (psi_1, psi_2) at a point."""
+    """Two-component spinor value (psi_1, psi_2) at a point, or arrays over a mesh."""
 
-    c1: complex
-    c2: complex
+    c1: complex | np.ndarray
+    c2: complex | np.ndarray
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2], dtype=complex)
+        """Components stacked along a new last axis: shape (..., 2)."""
+        return np.stack(np.broadcast_arrays(self.c1, self.c2), axis=-1).astype(complex, copy=False)
+
+
+def _points(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """x and y as float arrays of at least one axis, plus their broadcast shape.
+
+    A single point is evaluated as a 1-element array, because numpy's scalar
+    complex arithmetic differs from its array arithmetic in the last bit.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.atleast_1d(x), np.atleast_1d(y), np.broadcast_shapes(x.shape, y.shape)
+
+
+def _spinor(shape: tuple[int, ...], c1: np.ndarray, c2: np.ndarray) -> SpinorValue:
+    """Wrap evaluated components; a single point gives Python complex values."""
+    if shape:
+        return SpinorValue(c1, c2)
+    return SpinorValue(complex(c1[0]), complex(c2[0]))
+
+
+def _mesh(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast 1-d xs and ys to the (len(xs), len(ys)) tensor grid."""
+    return np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]
 
 
 @dataclass(frozen=True)
@@ -83,15 +106,20 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     return BulkMode(l=float(l), k=float(k), E=E, rho=complex(rho), phase=complex(phase))
 
 
-def eval_bulk(mode: BulkMode, p: ModelParams, x: float, y: float) -> SpinorValue:
-    """Evaluate u_lk(x, y), including the sqrt((E-m)/4E) normalization factor."""
+def eval_bulk(mode: BulkMode, p: ModelParams, x: float | np.ndarray,
+              y: float | np.ndarray) -> SpinorValue:
+    """Evaluate u_lk(x, y), including the sqrt((E-m)/4E) normalization factor.
+
+    x and y broadcast against each other.
+    """
+    x, y, shape = _points(x, y)
     norm = math.sqrt((mode.E - p.m) / (4.0 * mode.E))
     plane = np.exp(1j * mode.k * y)
     ex_p = np.exp(1j * mode.l * x)
     ex_m = np.exp(-1j * mode.l * x)
     c1 = (mode.phase * 1j * mode.rho * ex_p - 1j * np.conj(mode.rho) * ex_m) * plane * norm
     c2 = (mode.phase * ex_p - ex_m) * plane * norm
-    return SpinorValue(complex(c1), complex(c2))
+    return _spinor(shape, c1, c2)
 
 
 def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
@@ -118,16 +146,17 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
     return EdgeMode(k=k, E=E, lam=lam)
 
 
-def eval_edge(mode: EdgeMode, p: ModelParams, x: float, y: float) -> SpinorValue:
-    """Evaluate U_k(x, y) = sqrt(lam/(1+gamma^2)) (i, -gamma) e^{-lam x + i k y}."""
+def eval_edge(mode: EdgeMode, p: ModelParams, x: float | np.ndarray,
+              y: float | np.ndarray) -> SpinorValue:
+    """Evaluate U_k(x, y) = sqrt(lam/(1+gamma^2)) (i, -gamma) e^{-lam x + i k y}; broadcasts."""
+    x, y, shape = _points(x, y)
     plane = np.exp(-mode.lam * x + 1j * mode.k * y)
     if p.gamma.is_infinite:
-        spinor = (0.0, -1.0)  # direction limit of (i, -gamma)/sqrt(1+gamma^2)
-        amp = math.sqrt(mode.lam)
-        return SpinorValue(complex(spinor[0] * amp * plane), complex(spinor[1] * amp * plane))
+        # direction limit (0, -1) of (i, -gamma)/sqrt(1+gamma^2)
+        return _spinor(shape, np.zeros_like(plane), -math.sqrt(mode.lam) * plane)
     g = p.gamma.value
     amp = math.sqrt(mode.lam / (1.0 + g * g))
-    return SpinorValue(complex(1j * amp * plane), complex(-g * amp * plane))
+    return _spinor(shape, 1j * amp * plane, -g * amp * plane)
 
 
 def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
@@ -144,56 +173,26 @@ def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
     return DefectMode(mu=float(mu), k=float(k), sign=sign, lambda_def=lam, s=complex(s))
 
 
-def eval_defect(mode: DefectMode, x: float, y: float) -> SpinorValue:
-    """Evaluate the defect wave function e^{-lambda x + i k y} (1, s)."""
+def eval_defect(mode: DefectMode, x: float | np.ndarray, y: float | np.ndarray) -> SpinorValue:
+    """Evaluate the defect wave function e^{-lambda x + i k y} (1, s); broadcasts."""
+    x, y, shape = _points(x, y)
     plane = np.exp(-mode.lambda_def * x + 1j * mode.k * y)
-    return SpinorValue(complex(plane), complex(mode.s * plane))
+    return _spinor(shape, plane, mode.s * plane)
 
 
 def eval_bulk_grid(mode: BulkMode, p: ModelParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Tabulate u_lk on the tensor grid xs x ys; shape (len(xs), len(ys), 2).
-
-    Bit-identical to pointwise eval_bulk, evaluated data-parallel.
-    """
-    norm = math.sqrt((mode.E - p.m) / (4.0 * mode.E))
-    X = np.asarray(xs, dtype=float)[:, None]
-    Y = np.asarray(ys, dtype=float)[None, :]
-    plane = np.exp(1j * mode.k * Y)
-    ex_p = np.exp(1j * mode.l * X)
-    ex_m = np.exp(-1j * mode.l * X)
-    out = np.empty((X.shape[0], Y.shape[1], 2), dtype=complex)
-    out[..., 0] = (mode.phase * 1j * mode.rho * ex_p - 1j * np.conj(mode.rho) * ex_m) * plane * norm
-    out[..., 1] = (mode.phase * ex_p - ex_m) * plane * norm
-    return out
+    """Tabulate u_lk on the tensor grid xs x ys; shape (len(xs), len(ys), 2)."""
+    return eval_bulk(mode, p, *_mesh(xs, ys)).as_array()
 
 
 def eval_edge_grid(mode: EdgeMode, p: ModelParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Tabulate U_k on the tensor grid xs x ys; shape (len(xs), len(ys), 2)."""
-    X = np.asarray(xs, dtype=float)[:, None]
-    Y = np.asarray(ys, dtype=float)[None, :]
-    plane = np.exp(-mode.lam * X + 1j * mode.k * Y)
-    out = np.empty((X.shape[0], Y.shape[1], 2), dtype=complex)
-    if p.gamma.is_infinite:
-        amp = math.sqrt(mode.lam)
-        out[..., 0] = 0.0
-        out[..., 1] = -amp * plane
-    else:
-        g = p.gamma.value
-        amp = math.sqrt(mode.lam / (1.0 + g * g))
-        out[..., 0] = 1j * amp * plane
-        out[..., 1] = -g * amp * plane
-    return out
+    return eval_edge(mode, p, *_mesh(xs, ys)).as_array()
 
 
 def eval_defect_grid(mode: DefectMode, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Tabulate the defect wave function on the tensor grid xs x ys."""
-    X = np.asarray(xs, dtype=float)[:, None]
-    Y = np.asarray(ys, dtype=float)[None, :]
-    plane = np.exp(-mode.lambda_def * X + 1j * mode.k * Y)
-    out = np.empty((X.shape[0], Y.shape[1], 2), dtype=complex)
-    out[..., 0] = plane
-    out[..., 1] = mode.s * plane
-    return out
+    return eval_defect(mode, *_mesh(xs, ys)).as_array()
 
 
 def edge_conductivity(p: ModelParams) -> int:

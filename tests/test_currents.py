@@ -22,6 +22,8 @@ def test_heaviside_midpoint():
     assert heaviside(1.0) == 1.0
     assert heaviside(-1.0) == 0.0
     assert heaviside(0.0) == 0.5
+    assert type(heaviside(2.0)) is float
+    assert np.array_equal(heaviside(np.array([1.0, -1.0, 0.0])), [1.0, 0.0, 0.5])
 
 
 def test_bulk_integrand_matches_spinor_bilinear(rng):
@@ -151,6 +153,21 @@ def test_closed_form_domain_errors():
         closed_form_edge_j2(p, -0.5)
 
 
+def test_closed_forms_accept_arrays():
+    p = ModelParams(1.0, as_gamma(2.0))
+    xs = np.array([[0.3, 0.8], [2.0, 4.0]])
+    bulk = closed_form_bulk_j2(p, xs).smooth
+    edge = closed_form_edge_j2(p, xs)
+    assert bulk.shape == edge.shape == (2, 2)
+    assert bulk[1, 0] == closed_form_bulk_j2(p, 2.0).smooth
+    assert edge[0, 1] == closed_form_edge_j2(p, 0.8)
+    bad = np.array([0.5, 1.0, 0.0])
+    with pytest.raises(OutOfDomain):
+        closed_form_bulk_j2(p, bad)
+    with pytest.raises(OutOfDomain):
+        closed_form_edge_j2(p, -bad)
+
+
 def test_closed_form_edge_zero_cases():
     assert closed_form_edge_j2(ModelParams(1.0, as_gamma(-0.5)), 0.7) == 0.0
     assert closed_form_edge_j2(ModelParams(1.0, as_gamma(0.0)), 0.7) == 0.0
@@ -182,16 +199,21 @@ def test_bulk_closed_form_infinite_gamma():
     assert cf.c_delta_prime == 0.0
 
 
-def test_decomposition_consistency():
-    p = ModelParams(1.0, as_gamma(2.0))
+@pytest.mark.parametrize("m", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("g", ["inf", 0.0, 0.5, -0.5, 2.0, -3.0])
+def test_decomposition_consistency(m, g):
+    p = ModelParams(m, as_gamma(g))
     dec = total_decomposition(p)
     x = 0.8
-    assert dec.bulk_smooth(x) == pytest.approx(closed_form_bulk_j2(p, x).smooth)
-    assert dec.edge_smooth(x) == pytest.approx(closed_form_edge_j2(p, x))
-    assert dec.total_smooth(x) == pytest.approx(dec.bulk_smooth(x) + dec.edge_smooth(x))
-    assert dec.regular(x) == pytest.approx(dec.total_smooth(x) - dec.singular.c_inv_x2 / x**2)
-    xs = np.array([0.3, 0.8, 2.0])
-    assert np.allclose(dec.regular(xs), [dec.regular(float(x)) for x in xs])
+    if m >= 0:
+        assert dec.bulk_smooth(x) == closed_form_bulk_j2(p, x).smooth
+        assert dec.edge_smooth(x) == closed_form_edge_j2(p, x)
+    assert dec.total_smooth(x) == dec.bulk_smooth(x) + dec.edge_smooth(x)
+    assert dec.regular(x) == dec.total_smooth(x) - dec.singular.c_inv_x2 / (x * x)
+    xs = np.geomspace(0.05, 5.0, 9)
+    for f in (dec.bulk_smooth, dec.edge_smooth, dec.total_smooth, dec.regular):
+        assert type(f(x)) is float
+        assert np.array_equal(f(xs), [f(float(x)) for x in xs])
 
 
 def test_negative_mass_via_reflection():

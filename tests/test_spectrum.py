@@ -8,7 +8,7 @@ from edgecurrents import (GAMMA_INFINITY, GridTooSmall, InvalidDeficiency, Inval
                           ModelParams, apply_dirac_fd, as_gamma, bulk_mode, defect_mode,
                           edge_conductivity, edge_mode_at_k, eigen_residual, eval_bulk,
                           eval_bulk_grid, eval_defect, eval_defect_grid, eval_edge,
-                          eval_edge_grid, gap_crossing, richardson_residual)
+                          eval_edge_grid, gap_crossing, richardson_residual, sample_on_grid)
 from conftest import random_gamma
 
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
@@ -63,8 +63,8 @@ def test_bulk_grid_matches_pointwise(rng):
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             s = eval_bulk(mode, p, float(x), float(y))
-            assert grid[i, j, 0] == pytest.approx(s.c1, abs=1e-15)
-            assert grid[i, j, 1] == pytest.approx(s.c2, abs=1e-15)
+            assert grid[i, j, 0] == s.c1
+            assert grid[i, j, 1] == s.c2
 
 
 def test_edge_mode_generic_values():
@@ -135,8 +135,8 @@ def test_edge_grid_matches_pointwise():
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             s = eval_edge(mode, p, float(x), float(y))
-            assert grid[i, j, 0] == pytest.approx(s.c1, abs=1e-15)
-            assert grid[i, j, 1] == pytest.approx(s.c2, abs=1e-15)
+            assert grid[i, j, 0] == s.c1
+            assert grid[i, j, 1] == s.c2
 
 
 def test_defect_mode_values():
@@ -170,8 +170,42 @@ def test_defect_grid_matches_pointwise():
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             s = eval_defect(mode, float(x), float(y))
-            assert grid[i, j, 0] == pytest.approx(s.c1, abs=1e-15)
-            assert grid[i, j, 1] == pytest.approx(s.c2, abs=1e-15)
+            assert grid[i, j, 0] == s.c1
+            assert grid[i, j, 1] == s.c2
+
+
+@pytest.mark.parametrize("g, k", [(2.0, 1.5), (-0.5, -2.0), ("inf", 1.5)])
+def test_broadcast_mesh_equals_grid(g, k):
+    p = ModelParams(0.8, as_gamma(g))
+    xs = np.linspace(0.0, 2.0, 7)
+    ys = np.linspace(-1.0, 1.0, 5)
+    X, Y = xs[:, None], ys[None, :]
+    bulk = bulk_mode(p, 1.1, -0.6)
+    edge = edge_mode_at_k(p, k)
+    defect = defect_mode(p, 3.0, -0.2, -1)
+    pairs = [(eval_bulk(bulk, p, X, Y), eval_bulk_grid(bulk, p, xs, ys)),
+             (eval_edge(edge, p, X, Y), eval_edge_grid(edge, p, xs, ys)),
+             (eval_defect(defect, X, Y), eval_defect_grid(defect, xs, ys))]
+    for mesh, grid in pairs:
+        assert grid.shape == (7, 5, 2)
+        assert np.array_equal(mesh.c1, grid[..., 0])
+        assert np.array_equal(mesh.c2, grid[..., 1])
+    assert type(eval_edge(edge, p, 0.3, 0.1).c1) is complex
+
+
+def test_sample_on_grid_calls_fn_once():
+    p = ModelParams(1.0, as_gamma(2.0))
+    mode = bulk_mode(p, 1.0, 0.5)
+    calls = []
+
+    def fn(x, y):
+        calls.append((np.shape(x), np.shape(y)))
+        return eval_bulk(mode, p, x, y)
+
+    grid = sample_on_grid(fn, 0.1, -0.2, 6, 4, 0.05)
+    assert calls == [((6, 1), (1, 4))]
+    assert np.array_equal(grid, eval_bulk_grid(mode, p, 0.1 + 0.05 * np.arange(6),
+                                               -0.2 + 0.05 * np.arange(4)))
 
 
 def test_fd_rejects_small_grids():
