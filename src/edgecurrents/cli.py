@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--v-cutoff", dest="v_cutoff", type=float, default=None)
     orc.add_argument("--l-max", dest="l_max", type=float, default=None)
     orc.add_argument("--eps", type=float, nargs="*", default=None,
-                     help="Abel damping schedule (strictly decreasing)")
+                     help="Abel damping schedule in units of x, eps = e*x (strictly decreasing)")
     orc.add_argument("--tol", type=float, default=None)
     orc.set_defaults(func=cmd_oracle)
 

@@ -247,8 +247,7 @@ def _closed_form_domain(p: ModelParams, x: float | np.ndarray) -> np.ndarray:
     return x
 
 
-def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray,
-                        Lambda: float = math.e) -> BulkClosedForm:
+def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> BulkClosedForm:
     """Closed-form bulk current at x > 0 for m >= 0; x broadcasts.
 
     smooth = [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx}
@@ -257,8 +256,6 @@ def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray,
     vanishes in the gamma = inf limit.
     """
     x = _closed_form_domain(p, x)
-    if Lambda <= 1:
-        raise OutOfDomain(f"cutoff must satisfy Lambda > 1, got {Lambda}")
     s = singular_part(p)
     g = p.gamma.value
     if g is None:

@@ -1,14 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from edgecurrents.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(args):
+    """Run a fresh interpreter with args, importing the package from src/."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_spectrum_header_and_rows(capsys):
@@ -131,3 +144,20 @@ def test_stdout_determinism(capsys):
         _, out2, err2 = run_cli(capsys, argv)
         assert out1 == out2
         assert err1 == err2
+
+
+def test_import_skips_scipy():
+    res = run_fresh(["-c", "import sys, edgecurrents; print('scipy' in sys.modules)"])
+    assert res.returncode == 0
+    assert res.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--m", "1", "--x", "1.0", "--what", "branch-cut"],
+    ["oracle", "--m", "1", "--gamma", "2", "--x", "1.0", "--what", "bulk"],
+])
+def test_readme_oracle_commands_pass_quietly(argv):
+    res = run_fresh(["-m", "edgecurrents.cli", *argv])
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[1].endswith(",PASS")
+    assert res.stderr == ""

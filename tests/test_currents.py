@@ -146,8 +146,6 @@ def test_closed_form_domain_errors():
     with pytest.raises(OutOfDomain):
         closed_form_bulk_j2(p, 0.0)
     with pytest.raises(OutOfDomain):
-        closed_form_bulk_j2(p, 1.0, Lambda=1.0)
-    with pytest.raises(OutOfDomain):
         closed_form_bulk_j2(ModelParams(-1.0, as_gamma(2.0)), 1.0)
     with pytest.raises(OutOfDomain):
         closed_form_edge_j2(p, -0.5)

@@ -1,10 +1,9 @@
-import math
-
+import numpy as np
 import pytest
 
-from edgecurrents import (DEFAULT_SCHEME, CptInvariantBoundary, ModelParams,
+from edgecurrents import (DEFAULT_SCHEME, CptInvariantBoundary, ModelParams, NonConvergent,
                           RegularizationScheme, abel_damped_integral, as_gamma,
-                          closed_form_edge_j2, delta_prime_sector_null,
+                          closed_form_bulk_j2, closed_form_edge_j2, delta_prime_sector_null,
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
                           oracle_p3_p4_cancellations, richardson_extrapolate)
 
@@ -31,10 +30,23 @@ def test_richardson_extrapolate_polynomial():
 
 
 def test_abel_damped_integral_known_value():
-    # int_0^inf cos(2 l x) e^{-eps l} dl = eps / (eps^2 + 4 x^2)
-    x, eps = 0.7, 0.3
-    val = abel_damped_integral(lambda l: math.cos(2.0 * l * x), x, eps, DEFAULT_SCHEME)
-    assert val == pytest.approx(eps / (eps * eps + 4.0 * x * x), rel=1e-9)
+    # int_0^inf cos(2 l x) e^{-eps l} dl = eps / (eps^2 + 4 x^2); fn is called
+    # once, on the array of all nodes; x = 0.05 runs at the schedule's smallest eps
+    for x, eps in ((0.7, 0.3), (0.05, 0.0125 * 0.05)):
+        shapes = []
+
+        def fn(l):
+            shapes.append(np.shape(l))
+            return np.cos(2.0 * l * x)
+
+        val = abel_damped_integral(fn, x, eps, DEFAULT_SCHEME)
+        assert val == pytest.approx(eps / (eps * eps + 4.0 * x * x), rel=1e-9)
+        assert len(shapes) == 1 and len(shapes[0]) == 2
+
+
+def test_abel_damped_integral_panel_budget():
+    with pytest.raises(NonConvergent):
+        abel_damped_integral(np.cos, 1.0, 1e-6, RegularizationScheme(panel_budget=1000))
 
 
 def test_oracle_edge_current_matches_closed_form():
@@ -78,6 +90,19 @@ def test_delta_prime_sector_vanishes_with_damping():
         exact = 4.0 * x * eps / (eps * eps + 4.0 * x * x) ** 2
         assert val == pytest.approx(exact, rel=1e-4)  # finite l_max truncation
     assert abs(vals[2]) < abs(vals[0])
+
+
+@pytest.mark.parametrize("x", [0.05, 0.2])
+def test_bulk_oracle_small_x(x):
+    # small x needs the damping to scale with x (eps = e*x)
+    p = ModelParams(1.0, as_gamma(2.0))
+    closed = closed_form_bulk_j2(p, x).smooth
+    assert oracle_bulk_current(p, x) == pytest.approx(closed, rel=1e-6)
+
+
+@pytest.mark.parametrize("x", [0.05, 0.2])
+def test_branch_cut_integral_small_x(x):
+    assert oracle_branch_cut_integral(1.0, x).rel_diff < 1e-4
 
 
 def test_branch_cut_integral():
