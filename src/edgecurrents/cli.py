@@ -153,6 +153,7 @@ def cmd_constraints(args: argparse.Namespace) -> int:
             "fixed": [("inf" if g.is_infinite else g.value) for g in fixed],
             "solutions": [[("inf" if g.is_infinite else g.value) for g in s.gammas]
                           for s in systems],
+            "verdict": "SOLVED" if systems else "INFEASIBLE",
         }
         print(json.dumps(report, sort_keys=True, indent=2))
         return 0
@@ -237,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "constraints" and (args.gammas is None) == (args.solve is None):
-        ap.error("constraints needs exactly one of --gammas or --solve")
+    if args.command == "constraints":
+        if (args.gammas is None) == (args.solve is None):
+            ap.error("constraints needs exactly one of --gammas or --solve")
+        n_fix = len(args.fix.split(",")) if args.fix else 0
+        if args.solve is not None and (args.solve < 2 or n_fix >= args.solve):
+            ap.error("--solve N needs N >= 2 and fewer than N --fix gammas")
     try:
         return args.func(args)
     except CptInvariantBoundary as exc:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, takewhile
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .currents import _singular_coefficients
 from .errors import CptInvariantBoundary, DegeneratePair, UndefinedEpsilon
-from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_eta_theta,
-                     as_gamma, boost, boundary_character)
+from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio, as_gamma,
+                     boost, boundary_character)
 
 
 @dataclass(frozen=True)
@@ -81,15 +79,12 @@ def residuals(sys: FermionSystem) -> ResidualReport:
         r_x2 += b
         r_dip += c
     r_plus = r_minus = 0.0
-    defined = True
     for ch in sys.characters:
         if ch.epsilon is None:
-            defined = False
+            r_plus = r_minus = None
             break
         r_plus += ch.eta * math.exp(ch.epsilon * ch.theta)
         r_minus += ch.eta * math.exp(-ch.epsilon * ch.theta)
-    if not defined:
-        r_plus = r_minus = None
     return ResidualReport(r_log=r_log, r_x2=r_x2, r_dipole=r_dip,
                           r_plus=r_plus, r_minus=r_minus)
 
@@ -154,84 +149,88 @@ def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# numerical constraint solver
+# exact constraint solver
+#
+# A species is the unit timelike vector eta (cosh theta, sinh|theta|), in light-cone form
+# (eta z, eta/z), z = e^|theta| >= 1; the residuals cancel iff the vectors sum to zero.
+
+# |theta| of the lattice eta * linspace(-3, 3, 13); the sign of theta is the sign of gamma
+_THETA_LATTICE = tuple(0.5 * k for k in range(7))
 
 
-_THETA_LATTICE = tuple(np.linspace(-3.0, 3.0, 13))
+def _split_first(vp: float, vm: float) -> list[tuple[int, float]]:
+    """The (eta, z) of the vectors u with (vp, vm) - u a unit vector.
+
+    (V - u)^2 = 1 gives vm w^2 - q w + vp = 0 for w = eta z, q = V^2 = vp vm.
+    q = 4 within rounding is the double root of two equal vectors, and a root
+    z < 1 is raised to 1; the cancellation test rejects what is no solution.
+    """
+    q = vp * vm
+    d = 0.0 if abs(q - 4.0) < 4e-12 else q * (q - 4.0)
+    half = 0.5 * (q + math.copysign(math.sqrt(d), q)) if d >= 0.0 else 0.0
+    if half == 0.0:
+        return []  # no real root, or V light-like or zero: no finite root
+    return [(1 if w > 0 else -1, max(abs(w), 1.0)) for w in (half / vm, vp / half)]
 
 
-def _target_vector(gammas: list[ProjectiveReal], targets: tuple[str, ...]) -> np.ndarray:
-    rep = residuals(FermionSystem(tuple(gammas)))
-    vals = {"r_log": rep.r_log, "r_x2": rep.r_x2, "r_dipole": rep.r_dipole}
-    return np.array([vals[t] for t in targets])
+def _unit_sums(vp: float, vm: float, k: int) -> list[list[tuple[int, float]]]:
+    """Candidate lists of k unit vectors (eta, z) that sum to (vp, vm)."""
+    if k == 1:
+        eta = 1 if vp + vm > 0 else -1
+        return [[(eta, max(eta * vp, 1.0))]]
+    # (vp, vm) cancelling by itself (ResidualReport.cancels) leaves two species a family
+    if k == 2 and not (abs(vp + vm) < 2e-10 and abs(vp - vm) < 4e-10):
+        firsts = _split_first(vp, vm)
+    else:  # the lattice fixes the leading species
+        firsts = [(eta, math.exp(t)) for eta in (1, -1) for t in _THETA_LATTICE]
+    return [[(eta, z), *rest] for eta, z in firsts
+            for rest in _unit_sums(vp - eta * z, vm - eta / z, k - 1)]
 
 
-def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | None = None,
-                 targets: tuple[str, ...] = ("r_log", "r_x2"),
-                 tol: float = 1e-12, max_iter: int = 200) -> list[FermionSystem]:
-    """Search for systems of n species whose chosen residual sums vanish.
+def _dedupe(keys: list[tuple[float, ...]], tol: float = 1e-8) -> list[tuple[float, ...]]:
+    """Sorted keys, each dropped if within tol of a kept one (kept is sorted: scan its tail)."""
+    kept: list[tuple[float, ...]] = []
+    for key in sorted(keys):
+        near = takewhile(lambda k: not key[0] - k[0] >= tol, reversed(kept))
+        if not any(all(a == b or abs(a - b) < tol for a, b in zip(key, k)) for k in near):
+            kept.append(key)
+    return kept
 
-    ``fixed`` pins a subset of the gammas (by index when a dict, else the
-    first entries).  Free species are parametrized by (eta, theta); a damped
-    Gauss-Newton iteration (damping 0.5) runs from a deterministic multistart
-    lattice over theta-space and every eta sign pattern.  Distinct solutions
-    are canonicalized by sorting the gammas and deduplicated at 1e-8.
-    Returns the (possibly empty) list of solutions found.
+
+def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | None = None
+                 ) -> list[FermionSystem]:
+    """Every system of n species that contains the pinned gammas and cancels r_log, r_x2.
+
+    ``fixed`` pins a subset of the gammas (by index when a dict, else the first
+    entries), which leaves V = -(r_plus, r_minus) of the pinned species to the
+    free ones.  One free species is V when V is a unit vector, two follow from
+    a quadratic; further leading free species, and two free species when V
+    vanishes (a one-parameter family), take |theta| = 0, 0.5, .., 3.  A
+    candidate is kept when it cancels (``ResidualReport.cancels``), with both
+    signs of every free gamma (the residuals are even in gamma) and without
+    free gammas that round to +-1.  Systems list their gammas sorted, inf
+    last, and come deduplicated at 1e-8 and sorted.  [] means infeasible, as
+    for every n = 3: one unit vector is never the sum of two.
     """
     if n < 2:
         raise ValueError("need at least two species")
-    if fixed is None:
-        fixed = {}
     if not isinstance(fixed, dict):
-        fixed = {i: g for i, g in enumerate(fixed)}
-    fixed = {i: as_gamma(g) for i, g in fixed.items()}
-    if len(fixed) >= n:
-        raise ValueError("fixed assignment must leave at least one free gamma")
-    free_idx = [i for i in range(n) if i not in fixed]
-    nf = len(free_idx)
-
-    def assemble(thetas: np.ndarray, etas: tuple[int, ...]) -> list[ProjectiveReal]:
-        gammas: list[ProjectiveReal] = [None] * n  # type: ignore[list-item]
-        for i, g in fixed.items():
-            gammas[i] = g
-        for j, i in enumerate(free_idx):
-            gammas[i] = _gamma_from_eta_theta(etas[j], float(thetas[j]))
-        return gammas
-
-    def objective(thetas: np.ndarray, etas: tuple[int, ...]) -> np.ndarray:
-        return _target_vector(assemble(thetas, etas), targets)
-
-    solutions: list[tuple[float, ...]] = []
-    for etas in product((1, -1), repeat=nf):
-        for start in product(_THETA_LATTICE, repeat=nf):
-            th = np.array(start, dtype=float)
-            converged = False
-            for _ in range(max_iter):
-                F = objective(th, etas)
-                if np.max(np.abs(F)) < tol:
-                    converged = True
-                    break
-                # forward-difference Jacobian
-                J = np.empty((len(targets), nf))
-                dh = 1e-7
-                for j in range(nf):
-                    th2 = th.copy()
-                    th2[j] += dh
-                    J[:, j] = (objective(th2, etas) - F) / dh
-                step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                th = th + 0.5 * step
-                if np.max(np.abs(th)) > 30.0:
-                    break
-            if not converged:
-                continue
-            gammas = assemble(th, etas)
-            if any(g.is_infinite or abs(g.value) == 1.0 for g in gammas):
-                continue
-            key = tuple(sorted(g.value for g in gammas))
-            if any(len(key) == len(s) and max(abs(a - b) for a, b in zip(key, s)) < 1e-8
-                   for s in solutions):
-                continue
-            solutions.append(key)
-    return [make_system(s) for s in sorted(solutions)]
+        fixed = dict(enumerate(() if fixed is None else fixed))
+    if len(fixed) >= n or not all(0 <= i < n for i in fixed):
+        raise ValueError("fixed gammas need indices below n and must leave one free")
+    pinned = FermionSystem(tuple(fixed[i] for i in sorted(fixed)))
+    # eta z and eta/z of a species are the ratios (1 +- |gamma|)/(1 -+ |gamma|), -1 at inf
+    a = [abs(g.value) for g in pinned.gammas if not g.is_infinite]
+    vp = len(pinned.gammas) - len(a) - sum((1.0 + x) / (1.0 - x) for x in a)
+    vm = len(pinned.gammas) - len(a) - sum((1.0 - x) / (1.0 + x) for x in a)
+    keys = []
+    for units in _unit_sums(vp, vm, n - len(fixed)):
+        free = [_gamma_from_ratio(eta * z) for eta, z in units]
+        if any(not g.is_infinite and abs(g.value) == 1.0 for g in free):
+            continue
+        if not residuals(FermionSystem(pinned.gammas + tuple(free))).cancels():
+            continue
+        for signs in product((1, -1), repeat=len(free)):
+            gammas = pinned.gammas + tuple(g if s == 1 else g.neg() for g, s in zip(free, signs))
+            keys.append(tuple(sorted(math.inf if g.is_infinite else g.value for g in gammas)))
+    return [make_system("inf" if v == math.inf else v for v in key) for key in _dedupe(keys)]

@@ -123,44 +123,60 @@ def edge_velocity(gamma: GammaLike) -> float:
 def boundary_character(gamma: GammaLike) -> BoundaryCharacter:
     """Derive (v_edge, eta, theta, epsilon) from the boundary parameter.
 
-    eta = sgn((1-gamma)/(1+gamma)) and eta*exp(theta) = (1+gamma)/(1-gamma),
-    equivalently tanh(theta) = v_edge.  gamma = inf maps to (0, -1, 0, None).
+    eta = sgn((1-gamma)/(1+gamma)) and eta*exp(theta) = (1+gamma)/(1-gamma), so
+    theta = ln|(1+gamma)/(1-gamma)| (tanh(theta) = v_edge); it is finite at every
+    gamma != +-1.  Where the ratio is near 1 the log is taken as 2 atanh(h), with
+    h = gamma or 1/gamma (theta is invariant under gamma -> 1/gamma), which keeps
+    full precision.  gamma = inf maps to (0, -1, 0, None).
     """
     g = as_gamma(gamma)
     v = edge_velocity(g)
-    if not g.is_infinite and abs(g.value) == 1.0:
+    if g.is_infinite:
+        return BoundaryCharacter(v_edge=v, eta=-1, theta=0.0, epsilon=None)
+    x = g.value
+    if abs(x) == 1.0:
         # maximal edge velocity: signature undefined, rapidity infinite
         return BoundaryCharacter(v_edge=v, eta=None, theta=None, epsilon=1 if v > 0 else -1)
-    if g.is_infinite:
-        eta = -1
-    else:
-        ratio = (1.0 - g.value) / (1.0 + g.value) if g.value != -1.0 else math.inf
-        eta = 1 if ratio > 0 else -1
-    theta = math.atanh(v)
+    eta = 1 if abs(x) < 1.0 else -1
+    h = x if eta == 1 else 1.0 / x
+    theta = 2.0 * math.atanh(h) if abs(h) < 0.5 else math.log(abs((1.0 + x) / (1.0 - x)))
     epsilon = None if v == 0.0 else (1 if v > 0 else -1)
     return BoundaryCharacter(v_edge=v, eta=eta, theta=theta, epsilon=epsilon)
 
 
-def _gamma_from_eta_theta(eta: int, theta: float) -> ProjectiveReal:
-    # (1+gamma)/(1-gamma) = eta*e^theta  =>  gamma = (r-1)/(r+1)
-    r = eta * math.exp(theta)
+def _gamma_from_ratio(r: float) -> ProjectiveReal:
+    """Invert r = (1+gamma)/(1-gamma) = eta*e^theta; r = -1 is gamma = inf."""
     if r == -1.0:
         return GAMMA_INFINITY
     return ProjectiveReal((r - 1.0) / (r + 1.0))
+
+
+def _gamma_from_eta_theta(eta: int, theta: float) -> ProjectiveReal:
+    # gamma = tanh(theta/2) for eta = 1 and its inverse for eta = -1: the
+    # Cayley inverse of eta*e^theta, without the rounding of e^theta near 1
+    t = math.tanh(0.5 * theta)
+    if eta == 1:
+        return ProjectiveReal(t)
+    return GAMMA_INFINITY if t == 0.0 else ProjectiveReal(1.0 / t)
 
 
 def boost(gamma: GammaLike, chi: float) -> ProjectiveReal:
     """Act with a boost of rapidity chi parallel to the boundary: theta -> theta + chi.
 
     The signature eta is Lorentz invariant and kept fixed.  Raises
-    BoostUndefined for gamma = +-1.
+    BoostUndefined for gamma = +-1, and when the boosted point rounds onto
+    gamma = +-1 or overflows.
     """
-    g = as_gamma(gamma)
-    if not g.is_infinite and abs(g.value) == 1.0:
+    ch = boundary_character(gamma)
+    if ch.eta is None:
         raise BoostUndefined("boosts are undefined at gamma = +-1")
-    ch = boundary_character(g)
-    assert ch.eta is not None and ch.theta is not None
-    return _gamma_from_eta_theta(ch.eta, ch.theta + chi)
+    try:
+        out = _gamma_from_eta_theta(ch.eta, ch.theta + chi)
+    except ValueError:  # 1/tanh overflowed, or chi is nan
+        out = None
+    if out is None or (not out.is_infinite and abs(out.value) == 1.0):
+        raise BoostUndefined(f"boost by chi={chi!r} leaves the representable gammas != +-1")
+    return out
 
 
 def reflection_dual(p: ModelParams) -> ModelParams:

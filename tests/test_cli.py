@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,8 +106,32 @@ def test_constraints_solve(capsys):
     code, out, _ = run_cli(capsys, ["constraints", "--solve", "2", "--fix", "2"])
     assert code == 0
     rep = json.loads(out)
-    assert any(abs(sol[1] + 0.5) < 1e-8 or abs(sol[0] + 0.5) < 1e-8
-               for sol in rep["solutions"])
+    assert rep["verdict"] == "SOLVED"
+    assert len(rep["solutions"]) == 2
+    # [-0.5, 2.0] and [0.5, 2.0] to within 2 ulp
+    for sol, want in zip(rep["solutions"], ([-0.5, 2.0], [0.5, 2.0])):
+        assert sol[1] == want[1]
+        assert abs(sol[0] - want[0]) <= 2 * math.ulp(0.5)
+
+
+def test_constraints_solve_infeasible(capsys):
+    code, out, _ = run_cli(capsys, ["constraints", "--solve", "3", "--fix", "2"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["solutions"] == [] and rep["verdict"] == "INFEASIBLE"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["constraints", "--solve", "3", "--fix", "2"], 0),
+    (["constraints", "--solve", "1"], 2),
+    (["constraints", "--solve", "2", "--fix", "2,3"], 2),
+])
+def test_constraints_solve_exit_codes_without_traceback(argv, code):
+    res = run_fresh(["-m", "edgecurrents.cli", *argv])
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    if code == 2:
+        assert res.stderr.startswith("usage:") and res.stderr.count("error:") == 1
 
 
 def test_dual_output(capsys):

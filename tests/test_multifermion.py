@@ -108,11 +108,49 @@ def test_solve_system_pair():
         assert abs(rep.r_log) < 1e-10 and abs(rep.r_x2) < 1e-10
 
 
+def test_solve_system_exact_partners():
+    # gamma and -gamma are both exact partners of 2: the residuals are even in gamma
+    sols = solve_system(2, [2.0])
+    assert [[g.value for g in s.gammas] for s in sols] == [[-0.5, 2.0], [0.5, 2.0]]
+    sols = solve_system(4, [2.0, -0.5, 3.0])
+    assert [[g.value for g in s.gammas] for s in sols] == [[-0.5, -1.0 / 3.0, 2.0, 3.0],
+                                                          [-0.5, 1.0 / 3.0, 2.0, 3.0]]
+
+
+def test_solve_system_zero_has_infinite_partner():
+    for pinned in ([0.0], ["inf"]):
+        sols = solve_system(2, pinned)
+        assert len(sols) == 1
+        assert sols[0].gammas[0].value == 0.0 and sols[0].gammas[1].is_infinite
+
+
+def test_solve_system_two_free_species():
+    # two equal pins: the two free species form the double root, -1/2 twice or +-1/2
+    sols = solve_system(4, [2.0, 2.0])
+    assert [[g.value for g in s.gammas] for s in sols] == [
+        [-0.5, -0.5, 2.0, 2.0], [-0.5, 0.5, 2.0, 2.0], [0.5, 0.5, 2.0, 2.0]]
+    assert solve_system(3, [2.0]) == []  # a unit vector is never the sum of two
+
+
+def test_solve_system_family_on_lattice():
+    # nothing pinned: {g, -1/g} and {g, 1/g} with |theta| on the lattice 0, 0.5, .., 3
+    sols = solve_system(2)
+    assert len(sols) == 25
+    assert [[g.value if not g.is_infinite else "inf" for g in s.gammas] for s in sols].count(
+        [0.0, "inf"]) == 1
+    for s in sols:
+        assert residuals(s).cancels()
+
+
 def test_solve_system_validation():
     with pytest.raises(ValueError):
         solve_system(1)
     with pytest.raises(ValueError):
         solve_system(2, [2.0, 3.0])
+    with pytest.raises(ValueError):
+        solve_system(2, {2: 0.5})
+    with pytest.raises(CptInvariantBoundary):
+        solve_system(2, [1.0])
 
 
 def test_boosted_system():

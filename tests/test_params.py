@@ -85,6 +85,16 @@ def test_boundary_character_special_points():
         assert ch1.epsilon == eps
 
 
+def test_boundary_character_near_unit_gamma():
+    # theta = ln|(1+gamma)/(1-gamma)| stays finite next to gamma = +-1
+    for g, eta in ((1.0 + 1e-9, -1), (0.9999999999999999, 1), (-1.0 - 1e-9, -1)):
+        ch = boundary_character(g)
+        assert ch.eta == eta
+        assert ch.theta == pytest.approx(math.copysign(math.log(abs((1 + g) / (1 - g))), g),
+                                         rel=1e-15)
+    assert boundary_character(1e-10).theta == 2e-10  # no log rounding near gamma = 0
+
+
 def test_tanh_theta_is_velocity(rng):
     for _ in range(30):
         g = random_gamma(rng)
@@ -125,6 +135,16 @@ def test_boost_undefined_at_unit_gamma():
         boost(1.0, 0.5)
     with pytest.raises(BoostUndefined):
         boost(-1.0, 0.5)
+
+
+def test_boost_onto_unit_gamma_or_overflow_raises():
+    with pytest.raises(BoostUndefined):
+        boost(2.0, 40.0)  # tanh(theta/2) rounds to 1
+    with pytest.raises(BoostUndefined):
+        boost(2.0, 800.0)
+    with pytest.raises(BoostUndefined):
+        boost(GAMMA_INFINITY, 1e-310)  # coth(theta/2) overflows
+    assert boost(2.0, 30.0).value > 1.0
 
 
 @pytest.mark.parametrize("dual", [reflection_dual, cpt_dual, halfplane_dual])

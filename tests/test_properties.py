@@ -1,0 +1,142 @@
+"""Property-based checks over the projective line: solver, boosts, dualities."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from edgecurrents import (GAMMA_INFINITY, EdgeCurrentsError, ModelParams, as_gamma,  # noqa: E402
+                          boost, boundary_character, cpt_dual, halfplane_dual,
+                          make_system, reflection_dual, residuals, singular_part, solve_system)
+
+# the same examples on every run, and no example database written next to the tests
+fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# gamma at least 1e-3 away from +-1 (|theta| below ~15), magnitude in [1e-3, 1e3]
+finite_gamma = st.builds(lambda s, t: s * 10.0 ** t, st.sampled_from([1.0, -1.0]),
+                         st.floats(-3.0, 3.0)).filter(lambda g: abs(abs(g) - 1.0) > 1e-3)
+# the gamma-form residuals round to ~1e-16/(gamma^2 - 1)^2 per species, so an exact
+# solution passes ResidualReport.cancels (1e-10) safely only 1e-2 away from +-1
+moderate_gamma = finite_gamma.filter(lambda g: abs(abs(g) - 1.0) > 1e-2)
+projective_gamma = st.one_of(finite_gamma, st.just(GAMMA_INFINITY), st.sampled_from([0.0, -0.0]))
+# gammas within 1e-3 of +-1, down to the neighbouring floats of +-1
+near_unit = st.builds(lambda s, d: s * (1.0 + d), st.sampled_from([1.0, -1.0]),
+                      st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([2.0 ** -52, -2.0 ** -53])))
+# every gamma of the solver's lattice eta * linspace(-3, 3, 13)
+lattice_gamma = st.builds(lambda eta, t: math.tanh(t / 2) ** eta, st.sampled_from([1, -1]),
+                          st.sampled_from([0.5 * k for k in range(-6, 7) if k]))
+
+
+def _partner(g: float, kind: str) -> float:
+    return -1.0 / g if kind == "conjugate" else 1.0 / g
+
+
+def _contains(solutions, gammas, tol=1e-8) -> bool:
+    want = sorted(gammas)
+    return any(all(not h.is_infinite and abs(h.value - w) <= tol * (1.0 + abs(w))
+                   for h, w in zip(s.gammas, want)) for s in solutions)
+
+
+def _value(g):
+    return math.inf if g.is_infinite else g.value
+
+
+@fixed_examples
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(projective_gamma, min_size=1, max_size=n - 1))))
+def test_solutions_cancel_and_keep_pins(case):
+    n, pinned = case
+    for s in solve_system(n, pinned):
+        assert len(s.gammas) == n
+        assert residuals(s).cancels(1e-10)
+        values = [_value(g) for g in s.gammas]
+        for p in pinned:
+            assert _value(as_gamma(p)) in values
+
+
+@fixed_examples
+@given(st.lists(moderate_gamma, min_size=1, max_size=2), st.sampled_from(["conjugate", "cpt"]))
+def test_one_unpinned_species_is_recovered(gs, kind):
+    # a cancelling system of pairs {g, -1/g} or {g, 1/g}; the last species is left free
+    system = [x for g in gs for x in (g, _partner(g, kind))]
+    sols = solve_system(len(system), system[:-1])
+    assert _contains(sols, system)
+
+
+@fixed_examples
+@given(moderate_gamma, moderate_gamma, st.sampled_from(["conjugate", "cpt"]))
+def test_two_unpinned_species_of_different_pairs_are_recovered(g, h, kind):
+    a, b = (g, _partner(g, kind)), (h, _partner(h, kind))
+    pinned = [a[0], b[0]]
+    rep = residuals(make_system(pinned))
+    # the pinned pair must not nearly cancel: there the two free species are a
+    # one-parameter family and its isolated solutions are ill-conditioned
+    assume(abs(rep.r_log) + abs(rep.r_x2) > 1e-3)
+    assert _contains(solve_system(4, pinned), [*pinned, a[1], b[1]], tol=1e-7)
+
+
+@fixed_examples
+@given(lattice_gamma, moderate_gamma, st.sampled_from(["conjugate", "cpt"]))
+def test_unpinned_lattice_pair_is_recovered(g, h, kind):
+    # the pinned pair cancels, so the free pair is a family sampled on the lattice
+    system = [h, _partner(h, kind), g, _partner(g, kind)]
+    assert _contains(solve_system(4, system[:2]), system)
+
+
+@fixed_examples
+@given(st.lists(finite_gamma, min_size=1, max_size=2))
+def test_three_species_never_cancel(pinned):
+    assert solve_system(3, pinned) == []
+
+
+@fixed_examples
+@given(near_unit, st.floats(allow_nan=True, allow_infinity=True))
+def test_near_unit_gamma_is_finite_or_typed_error(g, chi):
+    ch = boundary_character(g)
+    if abs(g) != 1.0:
+        assert math.isfinite(ch.theta) and ch.eta in (1, -1)
+    try:
+        out = boost(g, chi)
+    except EdgeCurrentsError:
+        return
+    assert out.is_infinite or (math.isfinite(out.value) and abs(out.value) != 1.0)
+
+
+# rapidities whose sums with theta stay clear of the 1/tanh overflow at |theta| < 1e-308
+chi = st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+
+
+@fixed_examples
+@given(projective_gamma, chi, chi)
+def test_boost_group_law(g, a, b):
+    two_step = boundary_character(boost(boost(g, a), b))
+    one_step = boundary_character(boost(g, a + b))
+    assert two_step.eta == one_step.eta == boundary_character(g).eta
+    assert two_step.theta == pytest.approx(one_step.theta, rel=1e-9, abs=1e-12)
+
+
+@fixed_examples
+@given(st.floats(-5.0, 5.0), projective_gamma,
+       st.sampled_from([reflection_dual, cpt_dual, halfplane_dual]))
+def test_dualities_are_involutions(m, g, dual):
+    p = ModelParams(m, as_gamma(g))
+    q = dual(dual(p))
+    assert q.m == p.m
+    assert q.gamma.is_infinite == p.gamma.is_infinite
+    if not p.gamma.is_infinite:
+        assert q.gamma.value == pytest.approx(p.gamma.value, rel=1e-15, abs=0.0)
+
+
+@fixed_examples
+@given(st.floats(-5.0, 5.0), finite_gamma)
+def test_singular_part_is_odd_under_reflection(m, g):
+    # gamma -> -1/gamma flips the sign of all three singular coefficients
+    p = ModelParams(m, as_gamma(g))
+    s, d = singular_part(p), singular_part(reflection_dual(p))
+    for c, cd in ((s.c_log_delta_prime, d.c_log_delta_prime), (s.c_delta_prime, d.c_delta_prime),
+                  (s.c_inv_x2, d.c_inv_x2)):
+        assert cd == pytest.approx(-c, rel=1e-9, abs=1e-12)
+
