@@ -6,7 +6,7 @@ from .currents import (BulkClosedForm, CurrentDecomposition, PartialFractionData
                        partial_fractions, singular_part, total_decomposition, v_of_k)
 from .errors import (BoostUndefined, CptInvariantBoundary, DegeneratePair, EdgeCurrentsError,
                      GridTooSmall, InvalidDeficiency, InvalidMomentum, NoEdgeState,
-                     NonConvergent, OutOfDomain, UndefinedEpsilon)
+                     NonConvergent, OutOfDomain)
 from .fd import apply_dirac_fd, eigen_residual, richardson_residual, sample_on_grid
 from .multifermion import (BoostScanEntry, FermionSystem, ResidualReport, boost_invariance_scan,
                            conjugate_pair, make_system, rapidity_equivalence_check, residuals,

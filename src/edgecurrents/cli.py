@@ -20,8 +20,8 @@ import numpy as np
 from .currents import closed_form_bulk_j2, closed_form_edge_j2, total_decomposition
 from .errors import CptInvariantBoundary, NonConvergent
 from .multifermion import make_system, residuals, solve_system
-from .oracle import (RegularizationScheme, oracle_branch_cut_integral, oracle_bulk_current,
-                     oracle_edge_current)
+from .oracle import (DEFAULT_SCHEME, RegularizationScheme, oracle_branch_cut_integral,
+                     oracle_bulk_current, oracle_edge_current)
 from .params import (ModelParams, as_gamma, boundary_character, cpt_dual, halfplane_dual,
                      reflection_dual)
 from .spectrum import edge_conductivity, edge_mode_at_k
@@ -95,20 +95,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scheme_from_args(args: argparse.Namespace) -> RegularizationScheme:
-    kw = {}
-    if args.v_cutoff is not None:
-        kw["Lambda"] = args.v_cutoff
-    if args.l_max is not None:
-        kw["l_max"] = args.l_max
-    if args.eps:
-        kw["eps_schedule"] = tuple(args.eps)
-    return RegularizationScheme(**kw)
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = ModelParams(args.m, as_gamma(args.gamma))
-    scheme = _scheme_from_args(args)
+    scheme = RegularizationScheme(eps_schedule=tuple(args.eps)) if args.eps else DEFAULT_SCHEME
     rows = []
     ok = True
     try:
@@ -214,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--gamma", type=str, default="2")
     orc.add_argument("--x", type=float, required=True)
     orc.add_argument("--what", choices=("edge", "bulk", "branch-cut"), required=True)
-    orc.add_argument("--v-cutoff", dest="v_cutoff", type=float, default=None)
-    orc.add_argument("--l-max", dest="l_max", type=float, default=None)
     orc.add_argument("--eps", type=float, nargs="*", default=None,
                      help="Abel damping schedule in units of x, eps = e*x (strictly decreasing)")
     orc.add_argument("--tol", type=float, default=None)
@@ -244,6 +231,11 @@ def main(argv: list[str] | None = None) -> int:
         n_fix = len(args.fix.split(",")) if args.fix else 0
         if args.solve is not None and (args.solve < 2 or n_fix >= args.solve):
             ap.error("--solve N needs N >= 2 and fewer than N --fix gammas")
+    if args.command == "oracle" and args.eps:
+        try:
+            RegularizationScheme(eps_schedule=tuple(args.eps))
+        except ValueError as exc:
+            ap.error(f"--eps: {exc}")
     try:
         return args.func(args)
     except CptInvariantBoundary as exc:

@@ -287,12 +287,20 @@ def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
 
 
 def _singular_coefficients(g: float | None) -> tuple[float, float, float]:
-    """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None."""
+    """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None.
+
+    Written in h = gamma and d = h^2 - 1 = (h - 1)(h + 1), which keeps full
+    precision next to +-1.  Where gamma^2 would overflow (|gamma| > 1e150) the
+    same formulas take h = 1/gamma and d = 1 - h^2 (the coefficients are even
+    in g -> 1/g up to signs), so they stay finite at every float gamma != +-1.
+    """
     if g is None:
         return -1.0 / (2.0 * math.pi), 0.0, 0.0
-    c_log = -(1.0 / (2.0 * math.pi)) * (g * g + 1.0) / (g * g - 1.0)
-    c_dip = 0.0 if g == 0.0 else (g / (math.pi * (g * g - 1.0))) * math.log(abs((1.0 + g) / (1.0 - g)))
-    c_x2 = -abs(g) / (4.0 * math.pi * (g * g - 1.0))
+    h, s = (g, 1.0) if abs(g) <= 1e150 else (1.0 / g, -1.0)
+    d = s * ((h - 1.0) * (h + 1.0))
+    c_log = -(1.0 / (2.0 * math.pi)) * (h * h + 1.0) / d
+    c_dip = 0.0 if g == 0.0 else (h / (math.pi * d)) * math.log(abs((1.0 + h) / (1.0 - h)))
+    c_x2 = -abs(h) / (4.0 * math.pi * d)
     return c_log, c_dip, c_x2
 
 

@@ -39,7 +39,3 @@ class NonConvergent(EdgeCurrentsError):
 
 class DegeneratePair(EdgeCurrentsError):
     """gamma in {0, +-1, inf} does not yield a nondegenerate conjugate pair."""
-
-
-class UndefinedEpsilon(EdgeCurrentsError):
-    """sgn(v_edge) is undefined at zero edge velocity."""

@@ -16,7 +16,7 @@ from itertools import product, takewhile
 from typing import Iterable, Sequence
 
 from .currents import _singular_coefficients
-from .errors import CptInvariantBoundary, DegeneratePair, UndefinedEpsilon
+from .errors import CptInvariantBoundary, DegeneratePair
 from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio, as_gamma,
                      boost, boundary_character)
 
@@ -46,25 +46,38 @@ def make_system(gammas: Iterable[GammaLike]) -> FermionSystem:
     return FermionSystem(tuple(as_gamma(g) for g in gammas))
 
 
-def _summands(g: ProjectiveReal) -> tuple[float, float, float]:
-    """(r_log, r_x2, r_dipole) of one species: the singular_part coefficients rescaled."""
+def _summands(g: ProjectiveReal) -> tuple[float, float, float, float, float]:
+    """(r_log, r_x2, r_dipole, r_plus, r_minus) of one species.
+
+    The first three are the singular_part coefficients rescaled; the last two
+    are the light-cone components eta e^{+-|theta|}, the Cayley ratios
+    (1 +- |gamma|)/(1 -+ |gamma|), -1 at gamma = inf.
+    """
     c_log, c_dip, c_x2 = _singular_coefficients(None if g.is_infinite else g.value)
-    return -2.0 * math.pi * c_log, -4.0 * math.pi * c_x2, c_dip
+    if g.is_infinite:
+        plus = minus = -1.0
+    else:
+        a = abs(g.value)
+        # 1 + 2a/(1 - a) rounds less than (1 + a)/(1 - a); 1 - 2a/(1 + a) would cancel at a ~ 1
+        plus, minus = 1.0 + 2.0 * a / (1.0 - a), (1.0 - a) / (1.0 + a)
+    return -2.0 * math.pi * c_log, -4.0 * math.pi * c_x2, c_dip, plus, minus
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     """The three gamma-form residual sums and the two rapidity-form sums.
 
-    r_plus/r_minus are None when some species has vanishing edge velocity
-    (epsilon_n = sgn v_n undefined).
+    r_plus = sum eta_n e^{|theta_n|} and r_minus = sum eta_n e^{-|theta_n|}
+    sum the light-cone components of the species; they are defined for every
+    system and recombine to r_log = -(r_plus + r_minus)/2,
+    r_x2 = -(r_plus - r_minus)/4.
     """
 
     r_log: float
     r_x2: float
     r_dipole: float
-    r_plus: float | None
-    r_minus: float | None
+    r_plus: float
+    r_minus: float
 
     def cancels(self, tol: float = 1e-10) -> bool:
         return abs(self.r_log) < tol and abs(self.r_x2) < tol
@@ -72,33 +85,20 @@ class ResidualReport:
 
 def residuals(sys: FermionSystem) -> ResidualReport:
     """Evaluate the five residual sums of the system."""
-    r_log = r_x2 = r_dip = 0.0
+    sums = [0.0] * 5
     for g in sys.gammas:
-        a, b, c = _summands(g)
-        r_log += a
-        r_x2 += b
-        r_dip += c
-    r_plus = r_minus = 0.0
-    for ch in sys.characters:
-        if ch.epsilon is None:
-            r_plus = r_minus = None
-            break
-        r_plus += ch.eta * math.exp(ch.epsilon * ch.theta)
-        r_minus += ch.eta * math.exp(-ch.epsilon * ch.theta)
-    return ResidualReport(r_log=r_log, r_x2=r_x2, r_dipole=r_dip,
-                          r_plus=r_plus, r_minus=r_minus)
+        sums = [s + t for s, t in zip(sums, _summands(g))]
+    return ResidualReport(*sums)
 
 
 def rapidity_equivalence_check(sys: FermionSystem, tol: float = 1e-10) -> bool:
     """True iff the gamma-form pair and the rapidity-form pair vanish together.
 
     The two pairs are linear recombinations of each other
-    (r_log = -(r_plus + r_minus)/2, r_x2 = -(r_plus - r_minus)/4), so their
-    zero sets coincide whenever all epsilon_n are defined.
+    (r_log = -(r_plus + r_minus)/2, r_x2 = -(r_plus - r_minus)/4), computed
+    by independent formulas, so their zero sets must coincide.
     """
     rep = residuals(sys)
-    if rep.r_plus is None:
-        raise UndefinedEpsilon("some species has v_edge = 0; use the gamma-form residuals")
     scale = max(1.0, sum(abs(_summands(g)[0]) for g in sys.gammas))
     gamma_zero = abs(rep.r_log) < tol * scale and abs(rep.r_x2) < tol * scale
     rap_zero = abs(rep.r_plus) < tol * scale and abs(rep.r_minus) < tol * scale
@@ -118,8 +118,8 @@ class BoostScanEntry:
     chi: float
     cancels: bool
     velocity_signs_preserved: bool
-    r_plus: float | None
-    r_minus: float | None
+    r_plus: float
+    r_minus: float
 
 
 def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float],
@@ -138,11 +138,7 @@ def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float],
         rep = residuals(boosted)
         eps = [ch.epsilon for ch in boosted.characters]
         preserved = all(a == b for a, b in zip(base_eps, eps))
-        if rep.r_plus is None:
-            cancels = abs(rep.r_log) < tol and abs(rep.r_x2) < tol
-        else:
-            cancels = abs(rep.r_plus) < tol and abs(rep.r_minus) < tol
-        out.append(BoostScanEntry(chi=float(chi), cancels=cancels,
+        out.append(BoostScanEntry(chi=float(chi), cancels=rep.cancels(tol),
                                   velocity_signs_preserved=preserved,
                                   r_plus=rep.r_plus, r_minus=rep.r_minus))
     return out
@@ -219,12 +215,9 @@ def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | Non
     if len(fixed) >= n or not all(0 <= i < n for i in fixed):
         raise ValueError("fixed gammas need indices below n and must leave one free")
     pinned = FermionSystem(tuple(fixed[i] for i in sorted(fixed)))
-    # eta z and eta/z of a species are the ratios (1 +- |gamma|)/(1 -+ |gamma|), -1 at inf
-    a = [abs(g.value) for g in pinned.gammas if not g.is_infinite]
-    vp = len(pinned.gammas) - len(a) - sum((1.0 + x) / (1.0 - x) for x in a)
-    vm = len(pinned.gammas) - len(a) - sum((1.0 - x) / (1.0 + x) for x in a)
+    rep = residuals(pinned)
     keys = []
-    for units in _unit_sums(vp, vm, n - len(fixed)):
+    for units in _unit_sums(-rep.r_plus, -rep.r_minus, n - len(fixed)):
         free = [_gamma_from_ratio(eta * z) for eta, z in units]
         if any(not g.is_infinite and abs(g.value) == 1.0 for g in free):
             continue

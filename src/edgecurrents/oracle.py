@@ -39,7 +39,6 @@ class RegularizationScheme:
     Lambda: float = 1.0e4
     l_max: float = 400.0
     eps_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125)
-    extrapolation_order: int = 4
     quad_rel_tol: float = 1.0e-10
     quad_abs_tol: float = 1.0e-12
     panel_budget: int = 100_000
@@ -50,8 +49,8 @@ class RegularizationScheme:
         if self.quad_rel_tol <= 0 or self.quad_abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         eps = self.eps_schedule
-        if len(eps) < 2 or any(e <= 0 for e in eps) or any(a >= b for a, b in zip(eps[1:], eps)):
-            raise ValueError("eps_schedule must be strictly decreasing positive values")
+        if len(eps) < 2 or not all(math.inf > a > b > 0.0 for a, b in zip(eps, eps[1:])):
+            raise ValueError("eps_schedule must be two or more strictly decreasing finite positive values")
 
 
 DEFAULT_SCHEME = RegularizationScheme()

@@ -112,12 +112,17 @@ class BoundaryCharacter:
 
 
 def edge_velocity(gamma: GammaLike) -> float:
-    """Common travel velocity 2*gamma/(1+gamma^2) of all edge modes; 0 at gamma=inf."""
+    """Common travel velocity 2*gamma/(1+gamma^2) of all edge modes; 0 at gamma=inf.
+
+    Invariant under gamma -> 1/gamma, so where gamma^2 would overflow (|gamma| >
+    1e150) it is taken as 2h/(1+h^2) with h = 1/gamma: finite and nonzero at
+    every finite gamma != 0.
+    """
     g = as_gamma(gamma)
     if g.is_infinite:
         return 0.0
-    v = g.value
-    return 2.0 * v / (1.0 + v * v)
+    h = g.value if abs(g.value) <= 1e150 else 1.0 / g.value
+    return 2.0 * h / (1.0 + h * h)
 
 
 def boundary_character(gamma: GammaLike) -> BoundaryCharacter:

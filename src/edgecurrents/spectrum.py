@@ -126,16 +126,13 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
     """Edge mode at momentum k, or None when the decay rate is not positive.
 
     Generic gamma:  E = [2g/(1+g^2)] k + [(1-g^2)/(1+g^2)] m and
-    lam = [(g^2-1)/(g^2+1)] k + [2g/(g^2+1)] m.  The limits gamma = +-1
-    (E = gamma*k, lam = gamma*m) and gamma = inf (E = -m, lam = k) are
-    dedicated branches.
+    lam = [(g^2-1)/(g^2+1)] k + [2g/(g^2+1)] m; at gamma = +-1 this is
+    E = gamma*k, lam = gamma*m.  The limit gamma = inf (E = -m, lam = k) is a
+    dedicated branch.
     """
     k = float(k)
     if p.gamma.is_infinite:
         E, lam = -p.m, k
-    elif abs(p.gamma.value) == 1.0:
-        g = p.gamma.value
-        E, lam = g * k, g * p.m
     else:
         g = p.gamma.value
         d = 1.0 + g * g

@@ -212,6 +212,12 @@ def test_criterion_11_multifermion_constraints():
     for _ in range(200):  # gamma-form and rapidity-form zero sets coincide
         sys = make_system([random_gamma(rng) for _ in range(2 + int(rng.integers(3)))])
         ok = ok and rapidity_equivalence_check(sys)
+    for _ in range(50):  # also with species of zero edge velocity, gamma = 0 and inf
+        extra = ([0.0], ["inf"], [0.0, "inf"])[int(rng.integers(3))]
+        sys = make_system([random_gamma(rng) for _ in range(1 + int(rng.integers(3)))] + extra)
+        ok = ok and rapidity_equivalence_check(sys)
+        g = random_gamma(rng)  # a cancelling system with both
+        ok = ok and rapidity_equivalence_check(make_system([g, -1.0 / g, 0.0, "inf"]))
     # same-sign-velocity cancelling system: a_n = eta_n e^{theta_n} with
     # sum a = sum 1/a = 0 and every |a| > 1, so all six edge velocities are positive
     s = math.sqrt(913.0 / 13.0)

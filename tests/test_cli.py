@@ -134,6 +134,43 @@ def test_constraints_solve_exit_codes_without_traceback(argv, code):
         assert res.stderr.startswith("usage:") and res.stderr.count("error:") == 1
 
 
+def test_constraints_solve_next_to_unit_gamma(capsys):
+    # {g, -+1/g}, with g - 1 = -1e-3: (g - 1)(g + 1) keeps r_log of the pair inside 1e-10
+    g = 0.9989600324900666
+    code, out, _ = run_cli(capsys, ["constraints", "--solve", "2", "--fix", repr(g)])
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "SOLVED"
+    partners = [x for sol in rep["solutions"] for x in sol if x != g]
+    assert partners == pytest.approx([-1.0 / g, 1.0 / g], rel=1e-12)
+
+
+def test_constraints_report_huge_gamma_is_json(capsys):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    code, out, _ = run_cli(capsys, ["constraints", "--gammas", "1e200,0.5"])
+    rep = json.loads(out, parse_constant=reject)
+    assert code == 0 and rep["r_plus"] == 2.0
+    assert rep["r_log"] == pytest.approx(1.0 - 5.0 / 3.0)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--eps", "0.1"],
+    ["--eps", "0.1", "0.2"],
+    ["--eps", "0.2", "nan"],
+    ["--eps", "inf", "0.1"],
+    ["--eps", "0.1", "0"],
+    ["--v-cutoff", "50"],
+    ["--l-max", "100"],
+])
+def test_oracle_usage_errors(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--m", "1", "--gamma", "2", "--x", "0.7", "--what", "edge", *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and err.count("error:") == 1
+
+
 def test_dual_output(capsys):
     code, out, _ = run_cli(capsys, ["dual", "--m", "1", "--gamma", "0",
                                     "--which", "reflection"])

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from edgecurrents import (CptInvariantBoundary, DegeneratePair, FermionSystem, UndefinedEpsilon,
-                          as_gamma, boost_invariance_scan, conjugate_pair, make_system,
+from edgecurrents import (CptInvariantBoundary, DegeneratePair, FermionSystem, as_gamma,
+                          boost_invariance_scan, conjugate_pair, make_system,
                           rapidity_equivalence_check, residuals, solve_system)
 from conftest import random_gamma
 
@@ -13,7 +14,19 @@ def test_single_species_limits():
     assert residuals(make_system([0.0])).r_log == -1.0
     rep = residuals(make_system([0.0, "inf"]))
     assert rep.cancels()
-    assert rep.r_plus is None  # both species have zero edge velocity
+    # zero edge velocity: eta e^{+-|theta|} is eta, +1 at gamma = 0 and -1 at inf
+    assert (rep.r_plus, rep.r_minus) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("g", [0.999, -0.999, 1.001, -1.001, 0.3, -0.3, 7.0, -7.0, 1e-10, -1e-10,
+                               0.5, 2.0, 0.9999999999999999, 1.0000000000000002, 0.99, 1.01,
+                               10.0, 1e10, 1e200, 0.0])
+def test_light_cone_pair_within_one_ulp(g):
+    # one species' (r_plus, r_minus) is the Cayley pair (1 +- |g|)/(1 -+ |g|) of the exact float g
+    rep = residuals(make_system([g]))
+    a = abs(Fraction(g))
+    for got, exact in ((rep.r_plus, (1 + a) / (1 - a)), (rep.r_minus, (1 - a) / (1 + a))):
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
 
 
 def test_unit_gamma_rejected():
@@ -75,8 +88,10 @@ def test_rapidity_equivalence(rng):
     for _ in range(30):
         sys = make_system([random_gamma(rng) for _ in range(2 + int(rng.integers(3)))])
         assert rapidity_equivalence_check(sys)
-    with pytest.raises(UndefinedEpsilon):
-        rapidity_equivalence_check(make_system([0.0, 2.0]))
+    # species with zero edge velocity have rapidity-form summands too
+    for gammas in ([0.0, 2.0], [0.0, "inf"], ["inf", 0.5, -2.0], [0.0, 0.0, "inf", "inf"],
+                   [0.0, 3.0, -1.0 / 3.0]):
+        assert rapidity_equivalence_check(make_system(gammas))
 
 
 def test_boost_scan_same_sign_velocities():
@@ -88,6 +103,20 @@ def test_boost_scan_same_sign_velocities():
     for e in entries:
         assert e.velocity_signs_preserved
         assert e.cancels
+
+
+def test_boost_scan_with_zero_velocity_species():
+    # {0, inf} boosts to the CPT pair {tanh(chi/2), 1/tanh(chi/2)}: it cancels at every chi,
+    # while both velocities leave zero, so signs are preserved only at chi = 0
+    entries = boost_invariance_scan(make_system([0.0, "inf"]), [0.0, 0.5, -1.0])
+    for e in entries:
+        assert e.cancels
+        assert isinstance(e.r_plus, float) and isinstance(e.r_minus, float)
+        assert abs(e.r_plus) < 1e-12 and abs(e.r_minus) < 1e-12
+    assert [e.velocity_signs_preserved for e in entries] == [True, False, False]
+    entries = boost_invariance_scan(make_system([0.0, 2.0]), [0.0, 0.5])
+    assert [e.cancels for e in entries] == [False, False]
+    assert (entries[0].r_plus, entries[0].r_minus) == pytest.approx((1.0 - 3.0, 1.0 - 1.0 / 3.0))
 
 
 def test_boost_scan_mixed_sign_pair_loses_cancellation():

@@ -95,6 +95,15 @@ def test_boundary_character_near_unit_gamma():
     assert boundary_character(1e-10).theta == 2e-10  # no log rounding near gamma = 0
 
 
+@pytest.mark.parametrize("g", [1e200, -1e300, 1.7e308])
+def test_boundary_character_huge_gamma(g):
+    # v_edge = 2h/(1+h^2) with h = 1/gamma: no overflow of gamma^2, so epsilon stays defined
+    ch = boundary_character(g)
+    assert ch.v_edge == pytest.approx(2.0 / g, rel=1e-15) and ch.v_edge != 0.0
+    assert ch.epsilon == (1 if g > 0 else -1)
+    assert ch.theta == pytest.approx(2.0 / g, rel=1e-15)
+
+
 def test_tanh_theta_is_velocity(rng):
     for _ in range(30):
         g = random_gamma(rng)
