@@ -12,9 +12,8 @@ from .multifermion import (BoostScanEntry, FermionSystem, ResidualReport, boost_
                            conjugate_pair, make_system, rapidity_equivalence_check, residuals,
                            solve_system)
 from .oracle import (DEFAULT_SCHEME, BranchCutResult, P3P4Report, RegularizationScheme,
-                     abel_damped_integral, delta_prime_sector_null, oracle_branch_cut_integral,
-                     oracle_bulk_current, oracle_edge_current, oracle_p3_p4_cancellations,
-                     richardson_extrapolate)
+                     delta_prime_sector_null, oracle_branch_cut_integral, oracle_bulk_current,
+                     oracle_edge_current, oracle_p3_p4_cancellations)
 from .params import (GAMMA_INFINITY, BoundaryCharacter, ModelParams, ProjectiveReal, as_gamma,
                      boost, boundary_character, cpt_dual, edge_velocity, halfplane_dual,
                      reflection_dual)

@@ -5,7 +5,8 @@ reported in units of e^2/h.  CSV output uses 17 significant digits so values
 round-trip exactly, LF line endings, and is byte-stable across runs.
 
 Exit codes: 0 success, 1 oracle FAIL, 2 usage error, 3 rejected parameter
-(gamma = +-1 on a restricted operation).
+(gamma = +-1 on a restricted operation, or any argument outside an
+operation's domain).
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import sys
 import numpy as np
 
 from .currents import closed_form_bulk_j2, closed_form_edge_j2, total_decomposition
-from .errors import CptInvariantBoundary, NonConvergent
+from .errors import EdgeCurrentsError, NonConvergent
 from .multifermion import make_system, residuals, solve_system
-from .oracle import (DEFAULT_SCHEME, RegularizationScheme, oracle_branch_cut_integral,
-                     oracle_bulk_current, oracle_edge_current)
+from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
 from .params import (ModelParams, as_gamma, boundary_character, cpt_dual, halfplane_dual,
                      reflection_dual)
 from .spectrum import edge_conductivity, edge_mode_at_k
@@ -97,14 +97,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = ModelParams(args.m, as_gamma(args.gamma))
-    scheme = RegularizationScheme(eps_schedule=tuple(args.eps)) if args.eps else DEFAULT_SCHEME
     rows = []
     ok = True
     try:
         if args.what == "edge":
             tol = args.tol if args.tol is not None else 1e-8
             closed = closed_form_edge_j2(p, args.x)
-            numeric = oracle_edge_current(p, args.x, scheme)
+            numeric = oracle_edge_current(p, args.x)
             dev = abs(closed - numeric)
             rel = dev / abs(closed) if closed != 0.0 else dev
             ok = rel < tol
@@ -112,14 +111,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         elif args.what == "bulk":
             tol = args.tol if args.tol is not None else 1e-2
             closed = closed_form_bulk_j2(p, args.x).smooth
-            numeric = oracle_bulk_current(p, args.x, scheme)
+            numeric = oracle_bulk_current(p, args.x)
             dev = abs(closed - numeric)
             rel = dev / abs(closed) if closed != 0.0 else dev
             ok = rel < tol
             rows.append(("bulk_j2", closed, numeric, dev, rel, ok))
         else:  # branch-cut
             tol = args.tol if args.tol is not None else 1e-4
-            res = oracle_branch_cut_integral(p.m, args.x, scheme)
+            res = oracle_branch_cut_integral(p.m, args.x)
             ok = res.rel_diff < tol
             rows.append(("branch_cut", res.contour_value, res.abel_value,
                          abs(res.contour_value - res.abel_value), res.rel_diff, ok))
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--gamma", type=str, default="2")
     orc.add_argument("--x", type=float, required=True)
     orc.add_argument("--what", choices=("edge", "bulk", "branch-cut"), required=True)
-    orc.add_argument("--eps", type=float, nargs="*", default=None,
-                     help="Abel damping schedule in units of x, eps = e*x (strictly decreasing)")
     orc.add_argument("--tol", type=float, default=None)
     orc.set_defaults(func=cmd_oracle)
 
@@ -231,14 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         n_fix = len(args.fix.split(",")) if args.fix else 0
         if args.solve is not None and (args.solve < 2 or n_fix >= args.solve):
             ap.error("--solve N needs N >= 2 and fewer than N --fix gammas")
-    if args.command == "oracle" and args.eps:
-        try:
-            RegularizationScheme(eps_schedule=tuple(args.eps))
-        except ValueError as exc:
-            ap.error(f"--eps: {exc}")
     try:
         return args.func(args)
-    except CptInvariantBoundary as exc:
+    except EdgeCurrentsError as exc:
         print(f"rejected parameter: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

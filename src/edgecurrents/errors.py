@@ -29,12 +29,12 @@ class GridTooSmall(EdgeCurrentsError):
     """Finite-difference grids need at least 3 points per axis."""
 
 
-class OutOfDomain(EdgeCurrentsError):
-    """Argument outside the domain of a closed-form expression."""
+class OutOfDomain(EdgeCurrentsError, ValueError):
+    """Argument outside the domain of a closed form or an oracle."""
 
 
 class NonConvergent(EdgeCurrentsError):
-    """Quadrature or extrapolation failed to meet its tolerance budget."""
+    """Quadrature failed to meet its tolerance: an oracle's two evaluations disagree."""
 
 
 class DegeneratePair(EdgeCurrentsError):

@@ -1,11 +1,20 @@
 """Independent quadrature verification of the closed-form current profiles.
 
-Every closed form is re-derived numerically: the edge profile by absolutely
-convergent 1D quadrature over the occupied momenta, the bulk profile by the
-full pipeline (v-substitution, partial fractions, Abel-damped oscillatory
-l-integration with polynomial extrapolation of the damping to zero), and the
-logarithmic branch-cut integral by comparing the damped real-axis evaluation
-against the elementary contour-shift form.
+Every oracle runs the same fixed rule, ``quad``: 24-node Gauss-Legendre on
+panel edges chosen by the oracle, numpy only.
+
+- Edge: the occupied edge modes integrated in their decay rate u = lam(k),
+  where the mode current is u e^{-2ux} with no oscillation, on uniform
+  panels of width <= 1/(2x) from the lowest occupied u to 40/x above it.
+- Bulk and branch-cut: the Abel limit of int_0^inf Re[F(l)] dl, where
+  F(l) = (analytic in Re l > 0) * e^{-2ilx}, taken by Cauchy's theorem along
+  the ray l = t e^{-i phi}, on which e^{-2ilx} decays like e^{-2xt sin phi}
+  and which never meets the branch points +-im of arctan(l/m).  The closed
+  forms use the cut discontinuity at phi = pi/2 instead, so the check stays
+  independent.  The difference between the rays at phi = 0.4 pi and 0.3 pi
+  is the oracle's own error estimate.
+- P3/P4: panels graded in ln v over (1/Lambda, Lambda) towards the pole v3.
+- delta' sector: the damped l-integral on half-period panels in l.
 """
 
 from __future__ import annotations
@@ -16,116 +25,115 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import edge_integrand_j2, heaviside, partial_fractions
-from .errors import CptInvariantBoundary, NonConvergent
-from .params import ModelParams
+from .currents import heaviside, partial_fractions
+from .errors import CptInvariantBoundary, NonConvergent, OutOfDomain
+from .params import ModelParams, edge_velocity
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Rays of the Abel-limit oracles, and the largest relative difference
+# between their two values that still counts as converged.
+_RAY_ANGLES = (0.4 * math.pi, 0.3 * math.pi)
+_RAY_TOL = 1e-6
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use so that importing the package skips scipy."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+def quad(fn, edges) -> complex:
+    """Integrate fn over the panels [edges[i], edges[i+1]] by 24-node Gauss-Legendre each.
+
+    fn is called once, on the (n_panels, 24) array of all nodes, and must
+    broadcast; it may return complex values.  Exact for polynomials of degree
+    below 48 on every panel.  Deterministic: a fixed node array and a fixed
+    summation order.
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
+    return (fn(nodes) @ _GL_WEIGHTS) @ half
 
 
 @dataclass(frozen=True)
 class RegularizationScheme:
-    """Cutoffs, damping schedule and quadrature tolerances of the oracle.
-
-    The Abel damping schedule is in units of x: the oracles damp with
-    eps = e * x for each e in eps_schedule, since the damping e^{-eps l}
-    competes with the e^{-2ilx} oscillation through the ratio eps / (2x).
-    """
+    """Cutoffs of the structural checks: the v-range (1/Lambda, Lambda) and l_max."""
 
     Lambda: float = 1.0e4
     l_max: float = 400.0
-    eps_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125)
-    quad_rel_tol: float = 1.0e-10
-    quad_abs_tol: float = 1.0e-12
-    panel_budget: int = 100_000
 
     def __post_init__(self) -> None:
         if self.Lambda <= 1 or self.l_max <= 0:
             raise ValueError("need Lambda > 1 and l_max > 0")
-        if self.quad_rel_tol <= 0 or self.quad_abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        eps = self.eps_schedule
-        if len(eps) < 2 or not all(math.inf > a > b > 0.0 for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps_schedule must be two or more strictly decreasing finite positive values")
 
 
 DEFAULT_SCHEME = RegularizationScheme()
 
 
-def richardson_extrapolate(eps: list[float], vals: list[float]) -> tuple[float, float]:
-    """Neville polynomial extrapolation of vals(eps) to eps = 0.
+def _graded_edges(start: float, stop: float, first: float) -> np.ndarray:
+    """Panel edges from start to stop (either direction) of widths first, 2 first, 4 first, ...
 
-    Returns the extrapolant and the difference between the last two
-    extrapolation levels as an error estimate.
+    The last panel is cut at stop.
     """
-    n = len(vals)
-    T = [float(v) for v in vals]
-    prev = T[-1]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            T[i] = T[i] + (T[i] - T[i - 1]) * eps[i] / (eps[i - j] - eps[i])
-        if j == n - 2:
-            prev = T[-1]
-    return T[-1], abs(T[-1] - prev)
+    n = max(1, math.ceil(math.log2(abs(stop - start) / first + 1.0)))
+    step = math.copysign(first, stop - start)
+    return np.append(start + step * (2.0 ** np.arange(n) - 1.0), stop)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+def _check_x(x: float) -> None:
+    if not 0.0 < x < math.inf:
+        raise OutOfDomain(f"oracles need 0 < x < inf, got x={x}")
 
 
-def abel_damped_integral(fn, x: float, eps: float, scheme: RegularizationScheme) -> float:
-    """Integrate fn(l) e^{-eps l} over (0, inf) by a 24-node Gauss-Legendre rule per half-period panel.
+def _abel_limit(m: float, x: float, a: float, b: float) -> tuple[float, float]:
+    """Abel limit of int_0^inf Re[l (a + b arctan(l/m)) e^{-2ilx}] dl at m >= 0.
 
-    Panels of width pi/(2x) resolve the e^{-2ilx} oscillation; they run until
-    the damping e^{-eps l} has fallen below e^{-35}.  fn is called once, on
-    the (n_panels, 24) array of all nodes, and must broadcast over l.
-    Deterministic: a fixed node array and a fixed summation order.
+    Re[e^{-i phi} int_0^inf F(t e^{-i phi}) dt] on geometric panels, from a
+    first width that resolves the branch point -im (at distance m cos phi
+    from the ray) out to where e^{-2xt sin phi} = e^{-45}; arctan(l/m) is
+    continued as pi/2 - arctan(m/l), the constant pi/2 at m = 0.  Returns the
+    value at the first ray angle and its difference to the second; raises
+    NonConvergent when that difference exceeds _RAY_TOL relative.
     """
-    width = math.pi / (2.0 * x)
-    n_panels = math.ceil(35.0 / (eps * width))
-    if n_panels > scheme.panel_budget:
-        raise NonConvergent(f"{n_panels} panels exceed the panel budget {scheme.panel_budget} at eps={eps}")
-    half = 0.5 * width
-    l = (np.arange(n_panels)[:, None] + 0.5) * width + half * _GL_NODES
-    return half * float(np.sum((fn(l) * np.exp(-eps * l)) @ _GL_WEIGHTS))
+    scale = min(m, 1.0 / x) if m > 0 else 1.0 / x
+    vals = []
+    for phi in _RAY_ANGLES:
+        rot = complex(math.cos(phi), -math.sin(phi))
+        edges = _graded_edges(0.0, 45.0 / (2.0 * x * math.sin(phi)), math.cos(phi) * scale / 4.0)
+
+        def fn(t: np.ndarray) -> np.ndarray:
+            l = t * rot
+            return l * (a + b * (np.pi / 2 - np.arctan(m / l))) * np.exp(-2j * l * x)
+
+        vals.append(float((rot * quad(fn, edges)).real))
+    err = abs(vals[0] - vals[1])
+    if err > _RAY_TOL * abs(vals[0]):
+        raise NonConvergent(f"ray values differ by {err:.3g}, value {vals[0]:.3g}")
+    return vals[0], err
 
 
-def _occupied_edge_interval(p: ModelParams) -> tuple[float, float] | None:
-    """k-interval with lam(k) > 0 and E(k) < -m (the occupied edge region)."""
-    g = p.gamma.value
-    m = p.m
-    # E < -m  <=>  g k < -m ; lam > 0  <=>  (g^2-1) k > -2 g m
-    if g == 0.0:
-        # E = m for all k, lam = -k: occupied only for negative mass
-        return (-math.inf, 0.0) if m < 0 else None
-    lo, hi = (-math.inf, -m / g) if g > 0 else (-m / g, math.inf)
-    if g * g > 1:
-        lo = max(lo, -2.0 * g * m / (g * g - 1.0))
-    elif g * g < 1:
-        hi = min(hi, -2.0 * g * m / (g * g - 1.0))
-    if lo >= hi:
-        return None
-    return lo, hi
+def oracle_edge_current(p: ModelParams, x: float) -> float:
+    """Edge current at x > 0, integrated over the occupied decay rates u = lam.
 
-
-def oracle_edge_current(p: ModelParams, x: float, scheme: RegularizationScheme = DEFAULT_SCHEME) -> float:
-    """Edge current at x > 0 by adaptive quadrature of the mode integrand (dk/pi)."""
+    Occupied means lam > 0 and E < -m.  Along the edge branch
+    E = (2 g lam - m (1+g^2))/(g^2-1), so E < -m reads g lam < m where
+    g (g^2-1) > 0 and g lam > m where g (g^2-1) < 0.  Each mode carries
+    (dk/pi) v_edge u e^{-2ux}, with the edge velocity v_edge = 2g/(1+g^2) and
+    |dk/du| = (1+g^2)/|g^2-1|.  Both are invariant under g -> 1/g and are
+    written in h = 1/g where g^2 would overflow (|g| > 1e150), so they stay
+    finite at every float gamma.
+    """
     if p.is_cpt_invariant_bc:
         raise CptInvariantBoundary("oracle rejects gamma = +-1")
-    if p.gamma.is_infinite:
-        return 0.0  # edge spinor carries no j^2
-    interval = _occupied_edge_interval(p)
-    if interval is None:
+    _check_x(x)
+    g = p.gamma.value
+    if g is None or g == 0.0:
+        return 0.0  # v_edge = 0: the edge spinor carries no j^2
+    u_fermi = p.m / g  # the decay rate at E = -m
+    lo, hi = (0.0, u_fermi) if (abs(g) > 1.0) == (g > 0.0) else (max(0.0, u_fermi), math.inf)
+    if not lo < hi:
         return 0.0
-    lo, hi = interval
-    val, err = quad(lambda k: edge_integrand_j2(p, k, x) / math.pi, lo, hi,
-                    epsabs=scheme.quad_abs_tol, epsrel=scheme.quad_rel_tol, limit=500)
-    if err > max(scheme.quad_abs_tol, scheme.quad_rel_tol * abs(val)) * 100:
-        raise NonConvergent(f"edge quadrature error estimate {err} too large")
-    return val
+    hi = min(hi, lo + 40.0 / x)
+    h = g if abs(g) <= 1e150 else 1.0 / g
+    dk_du = (1.0 + h * h) / abs((h - 1.0) * (h + 1.0))
+    edges = np.linspace(lo, hi, math.ceil(2.0 * x * (hi - lo)) + 1)
+    total = float(quad(lambda u: u * np.exp(-2.0 * u * x), edges))
+    return edge_velocity(p.gamma) * dk_du / math.pi * total
 
 
 @dataclass(frozen=True)
@@ -151,22 +159,24 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float,
     whose Lambda -> inf limit is
     ln Lambda - [ i*arctan(l/m) + ln|(gamma-1)/(gamma+1)| - i pi Theta(gamma^2-1) ].
     The reported branch_limit_error is the O(1/Lambda) gap to that limit.
+    Both integrals run in t = ln v, on panels graded towards Re ln v3: the
+    pole sits |arg v3| off the real t axis, which is the first panel width.
     """
     pf = partial_fractions(p, l)
     L = scheme.Lambda
-    # (i): P1 + P2 is real; integrate in t = ln v so the 1/v^2 spike at the
-    # lower cutoff is resolved (the integrand becomes the odd (a/2)(e^t - e^-t))
     T = math.log(L)
-    sym, _ = quad(lambda t: float(np.real(pf.p1(math.exp(t)) + pf.p2(math.exp(t)))) * math.exp(t),
-                  -T, T, epsabs=scheme.quad_abs_tol, epsrel=scheme.quad_rel_tol, limit=500)
+    log_v3 = cmath.log(pf.v3)
+    centre = min(max(log_v3.real, -T), T)
+    first = min(1.0, abs(log_v3.imag))
+    edges = np.concatenate((_graded_edges(centre, -T, first)[::-1],
+                            _graded_edges(centre, T, first)[1:]))
+    # (i): P1 + P2 is real; in t the 1/v^2 spike at the lower cutoff becomes
+    # the odd (a/2)(e^t - e^-t)
+    sym = float(quad(lambda t: np.real(pf.p1(np.exp(t)) + pf.p2(np.exp(t))) * np.exp(t), edges))
     scale = abs(pf.a / 2.0 * (L - 1.0 / L))
     sym_resid = abs(sym) / scale
 
-    re_part, _ = quad(lambda v: float(np.real(1.0 / (v - pf.v3))), 1.0 / L, L,
-                      epsabs=scheme.quad_abs_tol, epsrel=scheme.quad_rel_tol, limit=500)
-    im_part, _ = quad(lambda v: float(np.imag(1.0 / (v - pf.v3))), 1.0 / L, L,
-                      epsabs=scheme.quad_abs_tol, epsrel=scheme.quad_rel_tol, limit=500)
-    numeric = re_part + 1j * im_part
+    numeric = complex(quad(lambda t: np.exp(t) / (np.exp(t) - pf.v3), edges))
     # Im(v - v3) is constant along the path, so principal logs are branch-safe
     exact = cmath.log(L - pf.v3) - cmath.log(1.0 / L - pf.v3)
     g = pf.gamma_finite
@@ -188,7 +198,11 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float,
 
 @dataclass(frozen=True)
 class BranchCutResult:
-    """Abel-damped real-axis value vs the contour-shift elementary form."""
+    """Ray-rule Abel limit vs the contour-shift elementary form.
+
+    abel_value is the Abel limit, evaluated on the ray at 0.4 pi;
+    error_estimate is its difference to the ray at 0.3 pi.
+    """
 
     abel_value: float
     contour_value: float
@@ -196,69 +210,52 @@ class BranchCutResult:
     error_estimate: float
 
 
-def oracle_branch_cut_integral(m: float, x: float,
-                               scheme: RegularizationScheme = DEFAULT_SCHEME) -> BranchCutResult:
+def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
     """Two independent evaluations of the logarithmic branch-cut integral.
 
-    Real axis: int_0^inf 2 Re[ i l * i arctan(l/m) * e^{-2ilx} ] e^{-eps l} dl,
-    extrapolated eps -> 0 (ln sqrt((m+il)/(m-il)) = i arctan(l/m) exactly).
-    Contour shift to the cut at l = i m: pi int_m^inf t e^{-2tx} dt
+    Ray rule: the Abel limit of int_0^inf 2 Re[ i l * i arctan(l/m) * e^{-2ilx} ] dl
+    (ln sqrt((m+il)/(m-il)) = i arctan(l/m) exactly).
+    Contour shift to the cut at l = -i m: pi int_m^inf t e^{-2tx} dt
     = pi e^{-2mx} (m/(2x) + 1/(4x^2)).
     """
-    if m <= 0 or x <= 0:
-        raise ValueError("need m > 0 and x > 0")
-
-    def integrand(l: np.ndarray) -> np.ndarray:
-        return -2.0 * l * np.arctan2(l, m) * np.cos(2.0 * l * x)
-
-    eps_list = [e * x for e in scheme.eps_schedule]
-    vals = [abel_damped_integral(integrand, x, e, scheme) for e in eps_list]
-    abel, err = richardson_extrapolate(eps_list, vals)
+    if not 0.0 < m < math.inf:
+        raise OutOfDomain(f"branch-cut integral needs 0 < m < inf, got m={m}")
+    _check_x(x)
+    abel, err = _abel_limit(m, x, 0.0, -2.0)
     contour = math.pi * math.exp(-2.0 * m * x) * (m / (2.0 * x) + 1.0 / (4.0 * x * x))
-    if err > 10.0 * max(abs(contour) * 1e-3, 1e-12):
-        raise NonConvergent(f"Abel extrapolation unstable: error estimate {err}")
     return BranchCutResult(abel_value=abel, contour_value=contour,
                            rel_diff=abs(abel - contour) / abs(contour), error_estimate=err)
 
 
 def delta_prime_sector_null(x: float, eps: float, scheme: RegularizationScheme = DEFAULT_SCHEME) -> float:
-    """Abel-damped int_0^lmax l sin(2lx) e^{-eps l} dl; tends to 0 as eps -> 0 at x > 0."""
-    val, _ = quad(lambda l: l * math.sin(2.0 * l * x) * math.exp(-eps * l), 0.0, scheme.l_max,
-                  epsabs=scheme.quad_abs_tol, epsrel=scheme.quad_rel_tol, limit=2000)
-    return val
+    """Abel-damped int_0^lmax l sin(2lx) e^{-eps l} dl; tends to 0 as eps -> 0 at x > 0.
+
+    Integrated on half-period panels of width <= pi/(2x).
+    """
+    _check_x(x)
+    edges = np.linspace(0.0, scheme.l_max, math.ceil(2.0 * x * scheme.l_max / math.pi) + 1)
+    return float(quad(lambda l: l * np.sin(2.0 * l * x) * np.exp(-eps * l), edges))
 
 
-def oracle_bulk_current(p: ModelParams, x: float,
-                        scheme: RegularizationScheme = DEFAULT_SCHEME) -> float:
+def oracle_bulk_current(p: ModelParams, x: float) -> float:
     """Smooth bulk current at x > 0 from the full numeric pipeline.
 
     Steps: drop the odd k/E term; integrate the partial fractions over the
-    v-symmetric cutoff range (P1+P2 cancel, P3 and the pure ln Lambda part of
-    P4 only feed delta'(x) terms, which vanish pointwise in the Abel limit);
-    Abel-damp the l-integral of the remaining P4 finite part (principal log
-    plus Theta branch term) and extrapolate the damping to zero.
+    v-symmetric cutoff range (P1+P2 cancel; P3 and the parts of P4 whose
+    coefficient is i l times a constant, ln Lambda and ln|(g-1)/(g+1)|,
+    only feed delta'(x) terms: Re[i l e^{-2ilx}] = l sin(2lx), whose Abel
+    limit vanishes at x > 0, see delta_prime_sector_null); take the Abel
+    limit of the l-integral of the remaining P4 finite part, the principal
+    arctan(l/m) and the Theta branch term, along the rays.
     """
     if p.is_cpt_invariant_bc:
         raise CptInvariantBoundary("oracle rejects gamma = +-1")
     if p.gamma.is_infinite or p.gamma.value == 0.0:
-        raise ValueError("bulk pipeline needs gamma not in {0, inf}")
-    if p.m < 0:
-        raise ValueError("bulk pipeline is run at m >= 0; use duality for m < 0")
+        raise OutOfDomain("bulk pipeline needs gamma not in {0, inf}")
+    if not 0.0 <= p.m < math.inf:
+        raise OutOfDomain("bulk pipeline is run at m >= 0; use duality for m < 0")
+    _check_x(x)
     g = p.gamma.value
-    m = p.m
-    coeff = 4.0 * g / (g * g - 1.0)
-    theta_branch = math.pi * heaviside(g * g - 1.0)
-    log_const = math.log(abs((g - 1.0) / (g + 1.0)))
-
-    def integrand(l: np.ndarray) -> np.ndarray:
-        # finite part of the P4 v-integral: i l coeff (i theta_l + log_const - i theta_branch)
-        theta_l = np.arctan2(l, m)
-        z = 1j * l * coeff * (1j * theta_l + log_const - 1j * theta_branch)
-        return np.real(z * np.exp(-2j * l * x)) / (2.0 * math.pi ** 2)
-
-    eps_list = [e * x for e in scheme.eps_schedule]
-    vals = [abel_damped_integral(integrand, x, e, scheme) for e in eps_list]
-    out, err = richardson_extrapolate(eps_list, vals)
-    if err > 10.0 * max(abs(out), 1e-8) * 0.01:
-        raise NonConvergent(f"Abel extrapolation unstable: error estimate {err}")
-    return out
+    # i l coeff (i arctan(l/m) - i theta_branch), theta_branch = pi Theta(g^2-1)
+    coeff = 4.0 * g / ((g - 1.0) * (g + 1.0)) / (2.0 * math.pi ** 2)
+    return _abel_limit(p.m, x, coeff * (math.pi if abs(g) > 1.0 else 0.0), -coeff)[0]

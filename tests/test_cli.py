@@ -46,6 +46,22 @@ def test_spectrum_infinite_gamma(capsys):
     assert "# sigma_edge=0" in out
 
 
+@pytest.mark.parametrize("g", ["1e200", "-1e200"])
+def test_spectrum_huge_gamma_rows_match_infinite_gamma(capsys, g):
+    # E and lambda are written in 1/gamma where gamma^2 overflows.  The grid
+    # skips k = 0, where lam = 2m/gamma is a genuine 2e-200 at gamma = 1e200
+    argv = ["spectrum", "--m", "1", "--k-min", "-2", "--k-max", "2", "--points", "8"]
+    _, out, _ = run_cli(capsys, [*argv, f"--gamma={g}"])
+    _, ref, _ = run_cli(capsys, [*argv, "--gamma=inf"])
+    rows = [line.split(",") for line in out.splitlines()[5:]]
+    ref_rows = [line.split(",") for line in ref.splitlines()[5:]]
+    assert len(rows) == len(ref_rows) == 8
+    for row, want in zip(rows, ref_rows):
+        assert row[3] == want[3] and not (row[1] == "nan" and row[3] == "true")
+        for a, b in zip(row[:3], want[:3]):
+            assert float(a) == pytest.approx(float(b), rel=1e-12, abs=1e-12, nan_ok=True)
+
+
 def test_spectrum_unit_gamma_special_rule(capsys):
     code, out, _ = run_cli(capsys, ["spectrum", "--m", "1", "--gamma", "1",
                                     "--k-min", "1", "--k-max", "1", "--points", "1"])
@@ -184,6 +200,22 @@ def test_rejected_parameter_exit_code(capsys):
     assert "rejected parameter" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--m", "1", "--x", "0", "--what", "edge"],
+    ["oracle", "--m", "1", "--x", "0", "--what", "bulk"],
+    ["oracle", "--m", "1", "--x", "0", "--what", "branch-cut"],
+    ["oracle", "--m", "1", "--gamma", "0", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "1", "--gamma", "inf", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "-1", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "0", "--x", "1", "--what", "branch-cut"],
+])
+def test_oracle_domain_errors_exit_3(capsys, argv):
+    # an exception escaping main would be a traceback; every domain error is one line
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("rejected parameter: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["constraints"])
@@ -209,9 +241,18 @@ def test_stdout_determinism(capsys):
 
 
 def test_import_skips_scipy():
-    res = run_fresh(["-c", "import sys, edgecurrents; print('scipy' in sys.modules)"])
-    assert res.returncode == 0
-    assert res.stdout == "False\n"
+    # every oracle kind runs on numpy alone: no scipy module is ever loaded
+    argvs = [["oracle", "--m", "1", "--gamma", "2", "--x", "0.7", "--what", "edge"],
+             ["oracle", "--m", "1", "--gamma", "2", "--x", "1.0", "--what", "bulk"],
+             ["oracle", "--m", "1", "--x", "1.0", "--what", "branch-cut"]]
+    script = ("import contextlib, io, sys\n"
+              "from edgecurrents.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(a) for a in {argvs!r}]\n"
+              "print(codes, sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+    res = run_fresh(["-c", script])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[0, 0, 0] []\n"
 
 
 @pytest.mark.parametrize("argv", [

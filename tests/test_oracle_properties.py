@@ -1,0 +1,77 @@
+"""Property-based checks of every oracle against its closed form over the documented domain.
+
+The closed forms are evaluated at 50 digits with mpmath, so each bound below
+is the oracle's own accuracy: m in {0} u [0.01, 2], x in [0.05, 5], gamma
+across the projective line down to 1e-3 from +-1.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+mp = pytest.importorskip("mpmath")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma,  # noqa: E402
+                          oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current)
+
+fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+mass = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+distance = st.floats(0.05, 5.0)
+# magnitude in [1e-3, 1e3], plus gammas between 1e-3 and 1e-2 from +-1
+finite_gamma = st.one_of(
+    st.builds(lambda s, t: s * 10.0 ** t, st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0)),
+    st.builds(lambda s, d: s * (1.0 + d), st.sampled_from([1.0, -1.0]),
+              st.one_of(st.floats(1e-3, 1e-2), st.floats(-1e-2, -1e-3))),
+).filter(lambda g: abs(abs(g) - 1.0) >= 1e-3)
+projective_gamma = st.one_of(finite_gamma, st.just(GAMMA_INFINITY), st.just(0.0))
+
+
+def edge_reference(m: float, g, x: float):
+    """[g/(pi (g^2-1))] (1/(2x^2)) [ Theta(g^2-1) - (1 + t) e^{-t} Theta(g) ], t = 2mx/g."""
+    if g is GAMMA_INFINITY or g == 0.0:
+        return mp.mpf(0)
+    m, g, x = mp.mpf(m), mp.mpf(g), mp.mpf(x)
+    t = 2 * m * x / g
+    bracket = (1 if g * g > 1 else 0) - ((1 + t) * mp.exp(-t) if g > 0 else 0)
+    return g / (mp.pi * (g * g - 1)) / (2 * x * x) * bracket
+
+
+def bulk_reference(m: float, g: float, x: float):
+    """[g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx} - [g/(pi (g^2-1))] Theta(g^2-1)/(2x^2)."""
+    m, g, x = mp.mpf(m), mp.mpf(g), mp.mpf(x)
+    c = g / (2 * mp.pi * (g * g - 1))
+    out = c * (1 / (2 * x * x) + m / x) * mp.exp(-2 * m * x)
+    return out - c / (x * x) if g * g > 1 else out
+
+
+@fixed_examples
+@given(mass, projective_gamma, distance)
+def test_edge_oracle_matches_closed_form(m, g, x):
+    with mp.workdps(50):
+        ref = edge_reference(m, g, x)
+        # 1e-300: where the current underflows, the oracle returns 0
+        assert abs(oracle_edge_current(ModelParams(m, as_gamma(g)), x) - ref) <= 1e-10 * abs(ref) + 1e-300
+
+
+@fixed_examples
+@given(mass, finite_gamma, distance)
+def test_bulk_oracle_matches_closed_form(m, g, x):
+    with mp.workdps(50):
+        ref = bulk_reference(m, g, x)
+        assert abs(oracle_bulk_current(ModelParams(m, as_gamma(g)), x) - ref) <= 1e-8 * abs(ref)
+
+
+@fixed_examples
+@given(st.floats(0.01, 2.0), distance)
+def test_branch_cut_oracle_matches_closed_form(m, x):
+    res = oracle_branch_cut_integral(m, x)
+    with mp.workdps(50):
+        ref = mp.pi * mp.exp(-2 * mp.mpf(m) * x) * (mp.mpf(m) / (2 * x) + 1 / (4 * mp.mpf(x) ** 2))
+        assert abs(res.abel_value - ref) <= 1e-8 * ref
+        assert abs(res.contour_value - ref) <= 1e-14 * ref
+    assert res.error_estimate < 1e-6 * abs(res.abel_value)
+    assert math.isfinite(res.rel_diff) and res.rel_diff < 1e-8
