@@ -11,9 +11,9 @@ from .fd import apply_dirac_fd, eigen_residual, richardson_residual, sample_on_g
 from .multifermion import (BoostScanEntry, FermionSystem, ResidualReport, boost_invariance_scan,
                            conjugate_pair, make_system, rapidity_equivalence_check, residuals,
                            solve_system)
-from .oracle import (DEFAULT_SCHEME, BranchCutResult, P3P4Report, RegularizationScheme,
-                     delta_prime_sector_null, oracle_branch_cut_integral, oracle_bulk_current,
-                     oracle_edge_current, oracle_p3_p4_cancellations)
+from .oracle import (BranchCutResult, P3P4Report, delta_prime_sector_null,
+                     oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
+                     oracle_p3_p4_cancellations)
 from .params import (GAMMA_INFINITY, BoundaryCharacter, ModelParams, ProjectiveReal, as_gamma,
                      boost, boundary_character, cpt_dual, edge_velocity, halfplane_dual,
                      reflection_dual)

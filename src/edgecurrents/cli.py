@@ -20,10 +20,10 @@ import numpy as np
 
 from .currents import closed_form_bulk_j2, closed_form_edge_j2, total_decomposition
 from .errors import EdgeCurrentsError, NonConvergent
-from .multifermion import make_system, residuals, solve_system
+from .multifermion import FermionSystem, residuals, solve_system
 from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
-from .params import (ModelParams, as_gamma, boundary_character, cpt_dual, halfplane_dual,
-                     reflection_dual)
+from .params import (ModelParams, ProjectiveReal, as_gamma, boundary_character, cpt_dual,
+                     halfplane_dual, reflection_dual)
 from .spectrum import edge_conductivity, edge_mode_at_k
 
 EXIT_ORACLE_FAIL = 1
@@ -34,8 +34,22 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _gamma_str(p: ModelParams) -> str:
-    return "inf" if p.gamma.is_infinite else _fmt(p.gamma.value)
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+def positive_float(text: str) -> float:
+    v = float(text)
+    if not 0.0 < v < math.inf:
+        raise ValueError(text)
+    return v
+
+
+def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:
+    return tuple(as_gamma(s) for s in text.split(","))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -47,7 +61,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    p = ModelParams(args.m, as_gamma(args.gamma))
+    p = ModelParams(args.m, args.gamma)
     ch = boundary_character(p.gamma)
     lines = [
         f"# v_edge={_fmt(ch.v_edge)}",
@@ -67,7 +81,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    p = ModelParams(args.m, as_gamma(args.gamma))
+    p = ModelParams(args.m, args.gamma)
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     b = dec.bulk_smooth(xs)
@@ -96,56 +110,43 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    p = ModelParams(args.m, as_gamma(args.gamma))
-    rows = []
-    ok = True
+    p = ModelParams(args.m, args.gamma)
     try:
         if args.what == "edge":
-            tol = args.tol if args.tol is not None else 1e-8
-            closed = closed_form_edge_j2(p, args.x)
-            numeric = oracle_edge_current(p, args.x)
-            dev = abs(closed - numeric)
-            rel = dev / abs(closed) if closed != 0.0 else dev
-            ok = rel < tol
-            rows.append(("edge_j2", closed, numeric, dev, rel, ok))
+            name, tol = "edge_j2", 1e-8
+            closed, numeric = closed_form_edge_j2(p, args.x), oracle_edge_current(p, args.x)
         elif args.what == "bulk":
-            tol = args.tol if args.tol is not None else 1e-2
-            closed = closed_form_bulk_j2(p, args.x).smooth
-            numeric = oracle_bulk_current(p, args.x)
-            dev = abs(closed - numeric)
-            rel = dev / abs(closed) if closed != 0.0 else dev
-            ok = rel < tol
-            rows.append(("bulk_j2", closed, numeric, dev, rel, ok))
+            name, tol = "bulk_j2", 1e-2
+            closed, numeric = closed_form_bulk_j2(p, args.x).smooth, oracle_bulk_current(p, args.x)
         else:  # branch-cut
-            tol = args.tol if args.tol is not None else 1e-4
+            name, tol = "branch_cut", 1e-4
             res = oracle_branch_cut_integral(p.m, args.x)
-            ok = res.rel_diff < tol
-            rows.append(("branch_cut", res.contour_value, res.abel_value,
-                         abs(res.contour_value - res.abel_value), res.rel_diff, ok))
+            closed, numeric = res.contour_value, res.abel_value
     except NonConvergent as exc:
         print(f"FAIL non-convergent: {exc}")
         return EXIT_ORACLE_FAIL
+    dev = abs(closed - numeric)
+    rel = dev / abs(closed) if closed != 0.0 else dev
+    ok = rel < (tol if args.tol is None else args.tol)
+    verdict = "PASS" if ok else "FAIL"
     print("quantity,closed_form,oracle,abs_dev,rel_dev,verdict")
-    for name, closed, numeric, dev, rel, passed in rows:
-        verdict = "PASS" if passed else "FAIL"
-        print(f"{name},{_fmt(closed)},{_fmt(numeric)},{_fmt(dev)},{_fmt(rel)},{verdict}")
+    print(f"{name},{_fmt(closed)},{_fmt(numeric)},{_fmt(dev)},{_fmt(rel)},{verdict}")
     return 0 if ok else EXIT_ORACLE_FAIL
 
 
 def cmd_constraints(args: argparse.Namespace) -> int:
     if args.solve is not None:
-        fixed = [as_gamma(s) for s in (args.fix.split(",") if args.fix else [])]
-        systems = solve_system(args.solve, fixed)
+        systems = solve_system(args.solve, args.fix)
         report = {
             "n": args.solve,
-            "fixed": [("inf" if g.is_infinite else g.value) for g in fixed],
+            "fixed": [("inf" if g.is_infinite else g.value) for g in args.fix],
             "solutions": [[("inf" if g.is_infinite else g.value) for g in s.gammas]
                           for s in systems],
             "verdict": "SOLVED" if systems else "INFEASIBLE",
         }
         print(json.dumps(report, sort_keys=True, indent=2))
         return 0
-    sys_ = make_system(s for s in args.gammas.split(","))
+    sys_ = FermionSystem(args.gammas)
     rep = residuals(sys_)
     verdict = "CANCELS" if rep.cancels() else "DIVERGENT"
     report = {
@@ -162,7 +163,7 @@ def cmd_constraints(args: argparse.Namespace) -> int:
 
 
 def cmd_dual(args: argparse.Namespace) -> int:
-    p = ModelParams(args.m, as_gamma(args.gamma))
+    p = ModelParams(args.m, args.gamma)
     maps = {"reflection": reflection_dual, "cpt": cpt_dual, "halfplane": halfplane_dual}
     q = maps[args.which](p)
     print(json.dumps({"m": q.m, "gamma": "inf" if q.gamma.is_infinite else q.gamma.value},
@@ -179,41 +180,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="edge dispersion table")
     sp.add_argument("--m", type=float, required=True)
-    sp.add_argument("--gamma", type=str, required=True)
+    sp.add_argument("--gamma", type=as_gamma, required=True)
     sp.add_argument("--k-min", dest="k_min", type=float, default=-2.0)
     sp.add_argument("--k-max", dest="k_max", type=float, default=2.0)
-    sp.add_argument("--points", type=int, default=41)
+    sp.add_argument("--points", type=positive_int, default=41)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
     pr = sub.add_parser("profile", help="current-density profile (geometric x grid)")
     pr.add_argument("--m", type=float, required=True)
-    pr.add_argument("--gamma", type=str, required=True)
-    pr.add_argument("--x-min", dest="x_min", type=float, default=0.1)
-    pr.add_argument("--x-max", dest="x_max", type=float, default=5.0)
-    pr.add_argument("--points", type=int, default=50)
-    pr.add_argument("--lambda", dest="Lambda", type=float, default=None,
+    pr.add_argument("--gamma", type=as_gamma, required=True)
+    pr.add_argument("--x-min", dest="x_min", type=positive_float, default=0.1)
+    pr.add_argument("--x-max", dest="x_max", type=positive_float, default=5.0)
+    pr.add_argument("--points", type=positive_int, default=50)
+    pr.add_argument("--lambda", dest="Lambda", type=positive_float, default=None,
                     help="report the ln(Lambda) delta' coefficient at this cutoff")
     pr.add_argument("--out", type=str, default=None)
     pr.set_defaults(func=cmd_profile)
 
     orc = sub.add_parser("oracle", help="closed form vs quadrature comparison")
     orc.add_argument("--m", type=float, required=True)
-    orc.add_argument("--gamma", type=str, default="2")
+    orc.add_argument("--gamma", type=as_gamma, default="2")
     orc.add_argument("--x", type=float, required=True)
     orc.add_argument("--what", choices=("edge", "bulk", "branch-cut"), required=True)
     orc.add_argument("--tol", type=float, default=None)
     orc.set_defaults(func=cmd_oracle)
 
     co = sub.add_parser("constraints", help="multi-fermion residual report / solver")
-    co.add_argument("--gammas", type=str, default=None, help="comma list of gammas")
+    co.add_argument("--gammas", type=gamma_list, default=None, help="comma list of gammas")
     co.add_argument("--solve", type=int, default=None, help="solve for N species")
-    co.add_argument("--fix", type=str, default=None, help="comma list of pinned gammas")
+    co.add_argument("--fix", type=gamma_list, default=(), help="comma list of pinned gammas")
     co.set_defaults(func=cmd_constraints)
 
     du = sub.add_parser("dual", help="apply a duality map to (m, gamma)")
     du.add_argument("--m", type=float, required=True)
-    du.add_argument("--gamma", type=str, required=True)
+    du.add_argument("--gamma", type=as_gamma, required=True)
     du.add_argument("--which", choices=("reflection", "cpt", "halfplane"), required=True)
     du.set_defaults(func=cmd_dual)
     return ap
@@ -225,8 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "constraints":
         if (args.gammas is None) == (args.solve is None):
             ap.error("constraints needs exactly one of --gammas or --solve")
-        n_fix = len(args.fix.split(",")) if args.fix else 0
-        if args.solve is not None and (args.solve < 2 or n_fix >= args.solve):
+        if args.solve is not None and (args.solve < 2 or len(args.fix) >= args.solve):
             ap.error("--solve N needs N >= 2 and fewer than N --fix gammas")
     try:
         return args.func(args)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import CptInvariantBoundary, InvalidMomentum, NoEdgeState, OutOfDomain
-from .params import ModelParams, reflection_dual
+from .params import ModelParams, _inverted_if_huge, reflection_dual
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
@@ -73,20 +73,20 @@ def edge_integrand_j2(p: ModelParams, k: float, x: float) -> float:
     return 2.0 * g * mode.lam / (1.0 + g * g) * math.exp(-2.0 * mode.lam * x)
 
 
-def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple], tol: float = 1e-12) -> bool:
-    """Verify that j^1 = psi^dagger sigma_1 psi vanishes for all sampled modes.
+def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
+    """Verify that j^1 = psi^dagger sigma_1 psi is below 1e-12 for all sampled modes.
 
     Each sample is a tuple (l, k, x, y); the bulk mode (l, k) is always
     evaluated, the edge mode at k whenever it exists.
     """
     for l, k, x, y in samples:
         u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, y).as_array()
-        if abs(2.0 * np.real(np.conj(u[0]) * u[1])) > tol:
+        if abs(2.0 * np.real(np.conj(u[0]) * u[1])) > 1e-12:
             return False
         mode = edge_mode_at_k(p, k)
         if mode is not None:
             w = eval_edge(mode, p, x, y).as_array()
-            if abs(2.0 * np.real(np.conj(w[0]) * w[1])) > tol:
+            if abs(2.0 * np.real(np.conj(w[0]) * w[1])) > 1e-12:
                 return False
     return True
 
@@ -271,15 +271,17 @@ def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> BulkClosedForm
 def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
     """Closed-form edge current at x > 0 for m >= 0; x broadcasts.
 
-    [g/(pi (g^2-1))] [ (1/(2x^2)) Theta(g^2-1)
-                       - (1/(2x^2) + m/(g x)) e^{-2mx/g} Theta(g) ].
+    [g/(2 pi (g^2-1) x^2)] [ Theta(g^2-1) - (1+t) e^{-t} Theta(g) ],  t = 2mx/g.
     Vanishes identically for gamma in (-1, 0) and for gamma in {0, inf}.
     """
     x = _closed_form_domain(p, x)
     g = _gamma_value_checked(p)
     if g is None or g == 0.0:
         return _as_output(np.zeros_like(x))
-    c = g / (math.pi * (g * g - 1.0))
+    c = g / (math.pi * ((g - 1.0) * (g + 1.0)))
+    if g > 1.0:  # the bracket 1 - (1+t) e^{-t} without its cancellation at small t
+        t = 2.0 * p.m * x / g
+        return _as_output(c * (1.0 / (2.0 * x * x)) * (-np.expm1(-t) - t * np.exp(-t)))
     out = c * (1.0 / (2.0 * x * x)) * heaviside(g * g - 1.0)
     if g > 0:
         out -= c * (1.0 / (2.0 * x * x) + p.m / (g * x)) * np.exp(-2.0 * p.m * x / g)
@@ -289,14 +291,12 @@ def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
 def _singular_coefficients(g: float | None) -> tuple[float, float, float]:
     """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None.
 
-    Written in h = gamma and d = h^2 - 1 = (h - 1)(h + 1), which keeps full
-    precision next to +-1.  Where gamma^2 would overflow (|gamma| > 1e150) the
-    same formulas take h = 1/gamma and d = 1 - h^2 (the coefficients are even
-    in g -> 1/g up to signs), so they stay finite at every float gamma != +-1.
+    Written in (h, s) of params._inverted_if_huge and d = s (h - 1)(h + 1),
+    which keeps full precision next to +-1.
     """
     if g is None:
         return -1.0 / (2.0 * math.pi), 0.0, 0.0
-    h, s = (g, 1.0) if abs(g) <= 1e150 else (1.0 / g, -1.0)
+    h, s = _inverted_if_huge(g)
     d = s * ((h - 1.0) * (h + 1.0))
     c_log = -(1.0 / (2.0 * math.pi)) * (h * h + 1.0) / d
     c_dip = 0.0 if g == 0.0 else (h / (math.pi * d)) * math.log(abs((1.0 + h) / (1.0 - h)))

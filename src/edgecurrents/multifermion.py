@@ -63,14 +63,21 @@ def _summands(g: ProjectiveReal) -> tuple[float, float, float, float, float]:
     return -2.0 * math.pi * c_log, -4.0 * math.pi * c_x2, c_dip, plus, minus
 
 
+def _negligible(scale: float, a: float, b: float) -> bool:
+    """True iff the sums a and b are zero to the rounding of summands of size scale."""
+    bound = 1e-10 * scale
+    return abs(a) < bound and abs(b) < bound
+
+
 @dataclass(frozen=True)
 class ResidualReport:
-    """The three gamma-form residual sums and the two rapidity-form sums.
+    """The three gamma-form residual sums, the two rapidity-form sums and their scale.
 
     r_plus = sum eta_n e^{|theta_n|} and r_minus = sum eta_n e^{-|theta_n|}
     sum the light-cone components of the species; they are defined for every
     system and recombine to r_log = -(r_plus + r_minus)/2,
-    r_x2 = -(r_plus - r_minus)/4.
+    r_x2 = -(r_plus - r_minus)/4.  scale = max(1, sum_n |r_log,n|) bounds
+    every summand of every sum: |r_x2,n| <= |r_log,n|/2, |r_+-,n| <= 2|r_log,n|.
     """
 
     r_log: float
@@ -78,31 +85,32 @@ class ResidualReport:
     r_dipole: float
     r_plus: float
     r_minus: float
+    scale: float
 
-    def cancels(self, tol: float = 1e-10) -> bool:
-        return abs(self.r_log) < tol and abs(self.r_x2) < tol
+    def cancels(self) -> bool:
+        """The one cancellation test: r_log and r_x2 both _negligible at this scale."""
+        return _negligible(self.scale, self.r_log, self.r_x2)
 
 
 def residuals(sys: FermionSystem) -> ResidualReport:
-    """Evaluate the five residual sums of the system."""
-    sums = [0.0] * 5
+    """Evaluate the five residual sums of the system and their scale."""
+    sums, size = [0.0] * 5, 0.0
     for g in sys.gammas:
-        sums = [s + t for s, t in zip(sums, _summands(g))]
-    return ResidualReport(*sums)
+        terms = _summands(g)
+        sums = [s + t for s, t in zip(sums, terms)]
+        size += abs(terms[0])
+    return ResidualReport(*sums, scale=max(1.0, size))
 
 
-def rapidity_equivalence_check(sys: FermionSystem, tol: float = 1e-10) -> bool:
+def rapidity_equivalence_check(sys: FermionSystem) -> bool:
     """True iff the gamma-form pair and the rapidity-form pair vanish together.
 
     The two pairs are linear recombinations of each other
     (r_log = -(r_plus + r_minus)/2, r_x2 = -(r_plus - r_minus)/4), computed
-    by independent formulas, so their zero sets must coincide.
+    by independent formulas, so their zero sets, at the scale of cancels, coincide.
     """
     rep = residuals(sys)
-    scale = max(1.0, sum(abs(_summands(g)[0]) for g in sys.gammas))
-    gamma_zero = abs(rep.r_log) < tol * scale and abs(rep.r_x2) < tol * scale
-    rap_zero = abs(rep.r_plus) < tol * scale and abs(rep.r_minus) < tol * scale
-    return gamma_zero == rap_zero
+    return rep.cancels() == _negligible(rep.scale, rep.r_plus, rep.r_minus)
 
 
 def conjugate_pair(gamma: GammaLike) -> FermionSystem:
@@ -122,8 +130,7 @@ class BoostScanEntry:
     r_minus: float
 
 
-def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float],
-                          tol: float = 1e-9) -> list[BoostScanEntry]:
+def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float]) -> list[BoostScanEntry]:
     """Boost every species by each chi and record whether cancellation survives.
 
     For systems whose edge velocities all share one sign, the rapidity-form
@@ -138,7 +145,7 @@ def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float],
         rep = residuals(boosted)
         eps = [ch.epsilon for ch in boosted.characters]
         preserved = all(a == b for a, b in zip(base_eps, eps))
-        out.append(BoostScanEntry(chi=float(chi), cancels=rep.cancels(tol),
+        out.append(BoostScanEntry(chi=float(chi), cancels=rep.cancels(),
                                   velocity_signs_preserved=preserved,
                                   r_plus=rep.r_plus, r_minus=rep.r_minus))
     return out
@@ -169,18 +176,21 @@ def _split_first(vp: float, vm: float) -> list[tuple[int, float]]:
     return [(1 if w > 0 else -1, max(abs(w), 1.0)) for w in (half / vm, vp / half)]
 
 
-def _unit_sums(vp: float, vm: float, k: int) -> list[list[tuple[int, float]]]:
-    """Candidate lists of k unit vectors (eta, z) that sum to (vp, vm)."""
+def _unit_sums(vp: float, vm: float, k: int, scale: float) -> list[list[tuple[int, float]]]:
+    """Candidate lists of k unit vectors (eta, z) that sum to (vp, vm).
+
+    scale: ResidualReport.scale of the species placed, each adding (z + 1/z)/2.
+    """
     if k == 1:
         eta = 1 if vp + vm > 0 else -1
         return [[(eta, max(eta * vp, 1.0))]]
-    # (vp, vm) cancelling by itself (ResidualReport.cancels) leaves two species a family
-    if k == 2 and not (abs(vp + vm) < 2e-10 and abs(vp - vm) < 4e-10):
+    # (vp, vm) cancelling by itself (its r_log, r_x2 pass cancels) leaves two species a family
+    if k == 2 and not _negligible(scale, (vp + vm) / 2.0, (vp - vm) / 4.0):
         firsts = _split_first(vp, vm)
     else:  # the lattice fixes the leading species
         firsts = [(eta, math.exp(t)) for eta in (1, -1) for t in _THETA_LATTICE]
     return [[(eta, z), *rest] for eta, z in firsts
-            for rest in _unit_sums(vp - eta * z, vm - eta / z, k - 1)]
+            for rest in _unit_sums(vp - eta * z, vm - eta / z, k - 1, scale + (z + 1.0 / z) / 2.0)]
 
 
 def _dedupe(keys: list[tuple[float, ...]], tol: float = 1e-8) -> list[tuple[float, ...]]:
@@ -217,7 +227,7 @@ def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | Non
     pinned = FermionSystem(tuple(fixed[i] for i in sorted(fixed)))
     rep = residuals(pinned)
     keys = []
-    for units in _unit_sums(-rep.r_plus, -rep.r_minus, n - len(fixed)):
+    for units in _unit_sums(-rep.r_plus, -rep.r_minus, n - len(fixed), rep.scale):
         free = [_gamma_from_ratio(eta * z) for eta, z in units]
         if any(not g.is_infinite and abs(g.value) == 1.0 for g in free):
             continue

@@ -13,7 +13,7 @@ panel edges chosen by the oracle, numpy only.
   forms use the cut discontinuity at phi = pi/2 instead, so the check stays
   independent.  The difference between the rays at phi = 0.4 pi and 0.3 pi
   is the oracle's own error estimate.
-- P3/P4: panels graded in ln v over (1/Lambda, Lambda) towards the pole v3.
+- P3/P4: panels graded in ln v over (1/LAMBDA, LAMBDA) towards the pole v3.
 - delta' sector: the damped l-integral on half-period panels in l.
 """
 
@@ -27,13 +27,17 @@ import numpy as np
 
 from .currents import heaviside, partial_fractions
 from .errors import CptInvariantBoundary, NonConvergent, OutOfDomain
-from .params import ModelParams, edge_velocity
+from .params import ModelParams, _inverted_if_huge, edge_velocity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # Rays of the Abel-limit oracles, and the largest relative difference
 # between their two values that still counts as converged.
 _RAY_ANGLES = (0.4 * math.pi, 0.3 * math.pi)
 _RAY_TOL = 1e-6
+# The structural checks: P3/P4 cutoff and pass bound, and the l-range of delta'.
+LAMBDA = 1.0e4
+L_MAX = 400.0
+_P3P4_TOL = 1e-10
 
 
 def quad(fn, edges) -> complex:
@@ -48,21 +52,6 @@ def quad(fn, edges) -> complex:
     half = 0.5 * np.diff(edges)
     nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
     return (fn(nodes) @ _GL_WEIGHTS) @ half
-
-
-@dataclass(frozen=True)
-class RegularizationScheme:
-    """Cutoffs of the structural checks: the v-range (1/Lambda, Lambda) and l_max."""
-
-    Lambda: float = 1.0e4
-    l_max: float = 400.0
-
-    def __post_init__(self) -> None:
-        if self.Lambda <= 1 or self.l_max <= 0:
-            raise ValueError("need Lambda > 1 and l_max > 0")
-
-
-DEFAULT_SCHEME = RegularizationScheme()
 
 
 def _graded_edges(start: float, stop: float, first: float) -> np.ndarray:
@@ -114,9 +103,7 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     E = (2 g lam - m (1+g^2))/(g^2-1), so E < -m reads g lam < m where
     g (g^2-1) > 0 and g lam > m where g (g^2-1) < 0.  Each mode carries
     (dk/pi) v_edge u e^{-2ux}, with the edge velocity v_edge = 2g/(1+g^2) and
-    |dk/du| = (1+g^2)/|g^2-1|.  Both are invariant under g -> 1/g and are
-    written in h = 1/g where g^2 would overflow (|g| > 1e150), so they stay
-    finite at every float gamma.
+    |dk/du| = (1+g^2)/|g^2-1|, both written in h of params._inverted_if_huge.
     """
     if p.is_cpt_invariant_bc:
         raise CptInvariantBoundary("oracle rejects gamma = +-1")
@@ -129,7 +116,7 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     if not lo < hi:
         return 0.0
     hi = min(hi, lo + 40.0 / x)
-    h = g if abs(g) <= 1e150 else 1.0 / g
+    h, _ = _inverted_if_huge(g)
     dk_du = (1.0 + h * h) / abs((h - 1.0) * (h + 1.0))
     edges = np.linspace(lo, hi, math.ceil(2.0 * x * (hi - lo)) + 1)
     total = float(quad(lambda u: u * np.exp(-2.0 * u * x), edges))
@@ -147,24 +134,21 @@ class P3P4Report:
     antiderivative_ok: bool = field(default=False)
 
 
-def oracle_p3_p4_cancellations(p: ModelParams, l: float,
-                               scheme: RegularizationScheme = DEFAULT_SCHEME,
-                               tol: float = 1e-10) -> P3P4Report:
+def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:
     """Check the two structural facts behind the bulk closed form.
 
-    (i) The P1 + P2 integral over the v-symmetric range (1/Lambda, Lambda)
+    (i) The P1 + P2 integral over the v-symmetric range (1/LAMBDA, LAMBDA)
     vanishes (the k -> -k, v -> 1/v cancellation).
     (ii) The numeric integral of (v - v3)^-1 over the same range equals the
-    principal-branch antiderivative Log(Lambda - v3) - Log(1/Lambda - v3),
+    principal-branch antiderivative Log(LAMBDA - v3) - Log(1/LAMBDA - v3),
     whose Lambda -> inf limit is
     ln Lambda - [ i*arctan(l/m) + ln|(gamma-1)/(gamma+1)| - i pi Theta(gamma^2-1) ].
-    The reported branch_limit_error is the O(1/Lambda) gap to that limit.
+    The reported branch_limit_error is the O(1/LAMBDA) gap to that limit.
     Both integrals run in t = ln v, on panels graded towards Re ln v3: the
     pole sits |arg v3| off the real t axis, which is the first panel width.
     """
     pf = partial_fractions(p, l)
-    L = scheme.Lambda
-    T = math.log(L)
+    T = math.log(LAMBDA)
     log_v3 = cmath.log(pf.v3)
     centre = min(max(log_v3.real, -T), T)
     first = min(1.0, abs(log_v3.imag))
@@ -173,12 +157,12 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float,
     # (i): P1 + P2 is real; in t the 1/v^2 spike at the lower cutoff becomes
     # the odd (a/2)(e^t - e^-t)
     sym = float(quad(lambda t: np.real(pf.p1(np.exp(t)) + pf.p2(np.exp(t))) * np.exp(t), edges))
-    scale = abs(pf.a / 2.0 * (L - 1.0 / L))
+    scale = abs(pf.a / 2.0 * (LAMBDA - 1.0 / LAMBDA))
     sym_resid = abs(sym) / scale
 
     numeric = complex(quad(lambda t: np.exp(t) / (np.exp(t) - pf.v3), edges))
     # Im(v - v3) is constant along the path, so principal logs are branch-safe
-    exact = cmath.log(L - pf.v3) - cmath.log(1.0 / L - pf.v3)
+    exact = cmath.log(LAMBDA - pf.v3) - cmath.log(1.0 / LAMBDA - pf.v3)
     g = pf.gamma_finite
     theta = math.atan2(l, p.m)
     if g is None:
@@ -186,13 +170,13 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float,
     else:
         log_const = (1j * theta + math.log(abs((g - 1.0) / (g + 1.0)))
                      - 1j * math.pi * heaviside(g * g - 1.0))
-    asymptotic = math.log(L) - log_const
+    asymptotic = T - log_const
     return P3P4Report(
         symmetric_residual=sym_resid,
         antiderivative_error=abs(numeric - exact),
         branch_limit_error=abs(exact - asymptotic),
-        symmetric_ok=sym_resid < tol,
-        antiderivative_ok=abs(numeric - exact) < tol,
+        symmetric_ok=sym_resid < _P3P4_TOL,
+        antiderivative_ok=abs(numeric - exact) < _P3P4_TOL,
     )
 
 
@@ -227,13 +211,13 @@ def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
                            rel_diff=abs(abel - contour) / abs(contour), error_estimate=err)
 
 
-def delta_prime_sector_null(x: float, eps: float, scheme: RegularizationScheme = DEFAULT_SCHEME) -> float:
-    """Abel-damped int_0^lmax l sin(2lx) e^{-eps l} dl; tends to 0 as eps -> 0 at x > 0.
+def delta_prime_sector_null(x: float, eps: float) -> float:
+    """Abel-damped int_0^L_MAX l sin(2lx) e^{-eps l} dl; tends to 0 as eps -> 0 at x > 0.
 
     Integrated on half-period panels of width <= pi/(2x).
     """
     _check_x(x)
-    edges = np.linspace(0.0, scheme.l_max, math.ceil(2.0 * x * scheme.l_max / math.pi) + 1)
+    edges = np.linspace(0.0, L_MAX, math.ceil(2.0 * x * L_MAX / math.pi) + 1)
     return float(quad(lambda l: l * np.sin(2.0 * l * x) * np.exp(-eps * l), edges))
 
 

@@ -111,17 +111,23 @@ class BoundaryCharacter:
     epsilon: int | None
 
 
+def _inverted_if_huge(g: float) -> tuple[float, float]:
+    """(h, s) = (g, 1), or (1/g, -1) where g^2 would overflow (|g| > 1e150).
+
+    The edge and singular formulas keep their form in h up to the sign s of g^2 - 1.
+    """
+    return (g, 1.0) if abs(g) <= 1e150 else (1.0 / g, -1.0)
+
+
 def edge_velocity(gamma: GammaLike) -> float:
     """Common travel velocity 2*gamma/(1+gamma^2) of all edge modes; 0 at gamma=inf.
 
-    Invariant under gamma -> 1/gamma, so where gamma^2 would overflow (|gamma| >
-    1e150) it is taken as 2h/(1+h^2) with h = 1/gamma: finite and nonzero at
-    every finite gamma != 0.
+    Invariant under gamma -> 1/gamma, so written in h of _inverted_if_huge.
     """
     g = as_gamma(gamma)
     if g.is_infinite:
         return 0.0
-    h = g.value if abs(g.value) <= 1e150 else 1.0 / g.value
+    h, _ = _inverted_if_huge(g.value)
     return 2.0 * h / (1.0 + h * h)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDeficiency, InvalidMomentum
-from .params import GammaLike, ModelParams, as_gamma
+from .params import GammaLike, ModelParams, _inverted_if_huge, as_gamma
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,14 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
     Generic gamma:  E = [2g/(1+g^2)] k + [(1-g^2)/(1+g^2)] m and
     lam = [(g^2-1)/(g^2+1)] k + [2g/(g^2+1)] m; at gamma = +-1 this is
     E = gamma*k, lam = gamma*m.  The limit gamma = inf (E = -m, lam = k) is a
-    dedicated branch.  Where g^2 would overflow (|gamma| > 1e150) the same
-    formulas take h = 1/gamma, in which they keep their form up to the sign
-    of g^2 - 1, so E and lam stay finite at every float gamma.
+    dedicated branch.  Written in (h, s) of params._inverted_if_huge.
     """
     k = float(k)
     if p.gamma.is_infinite:
         E, lam = -p.m, k
     else:
         g = p.gamma.value
-        h, s = (g, 1.0) if abs(g) <= 1e150 else (1.0 / g, -1.0)
+        h, s = _inverted_if_huge(g)
         d, n = s * (h * h - 1.0), 1.0 + h * h
         E = (2.0 * h * k - d * p.m) / n
         lam = (d * k + 2.0 * h * p.m) / n

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,11 @@ def test_oracle_edge_pass(capsys):
                                     "--what", "edge"])
     assert code == 0
     assert out.splitlines()[1].endswith("PASS")
+    # t = 2mx/gamma = 1e-6: the closed form's bracket 1 - (1+t) e^{-t} is taken with expm1
+    code, out, _ = run_cli(capsys, ["oracle", "--m", "0.01", "--gamma", "1000", "--x", "0.05",
+                                    "--what", "edge"])
+    assert code == 0
+    assert out.splitlines()[1].endswith("PASS")
 
 
 def test_oracle_fail_exit_code(capsys):
@@ -151,13 +157,14 @@ def test_constraints_solve_exit_codes_without_traceback(argv, code):
 
 
 def test_constraints_solve_next_to_unit_gamma(capsys):
-    # {g, -+1/g}, with g - 1 = -1e-3: (g - 1)(g + 1) keeps r_log of the pair inside 1e-10
-    g = 0.9989600324900666
-    code, out, _ = run_cli(capsys, ["constraints", "--solve", "2", "--fix", repr(g)])
-    rep = json.loads(out)
-    assert code == 0 and rep["verdict"] == "SOLVED"
-    partners = [x for sol in rep["solutions"] for x in sol if x != g]
-    assert partners == pytest.approx([-1.0 / g, 1.0 / g], rel=1e-12)
+    # {g, -+1/g}, with |g| - 1 ~ -1e-3: the pair's r_log rounds to ~1e-10 (1.01e-10 for
+    # the second pin), inside the 1e-10 scale of the cancellation test
+    for g in (0.9989600324900666, -0.9989930209352929):
+        code, out, _ = run_cli(capsys, ["constraints", "--solve", "2", "--fix", repr(g)])
+        rep = json.loads(out)
+        assert code == 0 and rep["verdict"] == "SOLVED"
+        partners = sorted(x for sol in rep["solutions"] for x in sol if x != g)
+        assert partners == pytest.approx(sorted([-1.0 / g, 1.0 / g]), rel=1e-12)
 
 
 def test_constraints_report_huge_gamma_is_json(capsys):
@@ -185,6 +192,37 @@ def test_oracle_usage_errors(capsys, extra):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--m", "1", "--gamma", "2", "--points", "-1"], "'-1'"),
+    (["spectrum", "--m", "1", "--gamma", "abc"], "'abc'"),
+    (["dual", "--m", "1", "--gamma", "nan", "--which", "cpt"], "'nan'"),
+    (["constraints", "--gammas", "2,abc"], "'2,abc'"),
+    (["constraints", "--gammas", "2,"], "'2,'"),
+    (["constraints", "--solve", "2", "--fix", "nan"], "'nan'"),
+    (["profile", "--m", "1", "--gamma", "2", "--x-min", "-1"], "'-1'"),
+    (["profile", "--m", "1", "--gamma", "2", "--x-max", "0"], "'0'"),
+    (["profile", "--m", "1", "--gamma", "2", "--points", "0"], "'0'"),
+    (["profile", "--m", "1", "--gamma", "2", "--lambda", "-1"], "'-1'"),
+    (["constraints", "--gammas", "2,1"], "gamma = +-1"),
+])
+def test_bad_input_is_one_line(capsys, argv, named):
+    # an exception escaping main would be a traceback, and any warning fails here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (2, 3) and out == ""
+    # one message line, naming the bad value: argparse's `error:` after its usage
+    # lines (exit 2), or the whole of stderr for a rejected parameter (exit 3)
+    messages = [line for line in err.splitlines()
+                if "error:" in line or line.startswith("rejected parameter:")]
+    assert len(messages) == 1 and named in messages[0]
+    assert code == 2 or err == messages[0] + "\n"
 
 
 def test_dual_output(capsys):

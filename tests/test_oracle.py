@@ -3,20 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from edgecurrents import (DEFAULT_SCHEME, CptInvariantBoundary, ModelParams, NonConvergent,
-                          OutOfDomain, RegularizationScheme, as_gamma, closed_form_bulk_j2,
-                          closed_form_edge_j2, delta_prime_sector_null,
+from edgecurrents import (CptInvariantBoundary, ModelParams, NonConvergent, OutOfDomain,
+                          as_gamma, closed_form_bulk_j2, closed_form_edge_j2,
+                          delta_prime_sector_null,
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
                           oracle_p3_p4_cancellations)
 from edgecurrents import oracle
-
-
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        RegularizationScheme(Lambda=0.5)
-    with pytest.raises(ValueError):
-        RegularizationScheme(l_max=0.0)
-    RegularizationScheme(Lambda=10.0, l_max=1.0)  # valid
 
 
 def test_quad_exact_for_polynomials():
@@ -99,7 +91,7 @@ def test_p3_p4_cancellations():
     assert rep.symmetric_ok
     assert rep.antiderivative_ok
     # the finite-cutoff log differs from its asymptote by O(1/Lambda)
-    assert rep.branch_limit_error < 10.0 / DEFAULT_SCHEME.Lambda
+    assert rep.branch_limit_error < 10.0 / oracle.LAMBDA
 
 
 def test_p3_p4_cancellations_infinite_gamma():

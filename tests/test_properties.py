@@ -9,18 +9,22 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from edgecurrents import (GAMMA_INFINITY, EdgeCurrentsError, ModelParams, as_gamma,  # noqa: E402
-                          boost, boundary_character, cpt_dual, halfplane_dual,
-                          make_system, reflection_dual, residuals, singular_part, solve_system)
+                          boost, boost_invariance_scan, boundary_character, conjugate_pair,
+                          cpt_dual, halfplane_dual, make_system, reflection_dual, residuals,
+                          singular_part, solve_system)
 
 # the same examples on every run, and no example database written next to the tests
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
+signs = st.sampled_from([1.0, -1.0])
 # gamma at least 1e-3 away from +-1 (|theta| below ~15), magnitude in [1e-3, 1e3]
-finite_gamma = st.builds(lambda s, t: s * 10.0 ** t, st.sampled_from([1.0, -1.0]),
+finite_gamma = st.builds(lambda s, t: s * 10.0 ** t, signs,
                          st.floats(-3.0, 3.0)).filter(lambda g: abs(abs(g) - 1.0) > 1e-3)
-# the gamma-form residuals round to ~1e-16/(gamma^2 - 1)^2 per species, so an exact
-# solution passes ResidualReport.cancels (1e-10) safely only 1e-2 away from +-1
-moderate_gamma = finite_gamma.filter(lambda g: abs(abs(g) - 1.0) > 1e-2)
+# as finite_gamma, with half the draws 1e-3 to 1e-1 from +-1, where the residual
+# summands (~1/(gamma^2 - 1)) and their rounding peak
+banded_gamma = st.one_of(finite_gamma, st.builds(
+    lambda s, d, t: s * (1.0 + d * 10.0 ** t), signs, signs, st.floats(-3.0, -1.0)
+).filter(lambda g: abs(abs(g) - 1.0) > 1e-3))
 projective_gamma = st.one_of(finite_gamma, st.just(GAMMA_INFINITY), st.sampled_from([0.0, -0.0]))
 # gammas within 1e-3 of +-1, down to the neighbouring floats of +-1
 near_unit = st.builds(lambda s, d: s * (1.0 + d), st.sampled_from([1.0, -1.0]),
@@ -51,14 +55,14 @@ def test_solutions_cancel_and_keep_pins(case):
     n, pinned = case
     for s in solve_system(n, pinned):
         assert len(s.gammas) == n
-        assert residuals(s).cancels(1e-10)
+        assert residuals(s).cancels()
         values = [_value(g) for g in s.gammas]
         for p in pinned:
             assert _value(as_gamma(p)) in values
 
 
 @fixed_examples
-@given(st.lists(moderate_gamma, min_size=1, max_size=2), st.sampled_from(["conjugate", "cpt"]))
+@given(st.lists(finite_gamma, min_size=1, max_size=2), st.sampled_from(["conjugate", "cpt"]))
 def test_one_unpinned_species_is_recovered(gs, kind):
     # a cancelling system of pairs {g, -1/g} or {g, 1/g}; the last species is left free
     system = [x for g in gs for x in (g, _partner(g, kind))]
@@ -67,7 +71,17 @@ def test_one_unpinned_species_is_recovered(gs, kind):
 
 
 @fixed_examples
-@given(moderate_gamma, moderate_gamma, st.sampled_from(["conjugate", "cpt"]))
+@given(banded_gamma)
+def test_partners_of_one_pin_are_solutions(g):
+    # the partners -+1/g to rounding; next to +-1 the pair's residuals round to
+    # ~1e-16/(g^2 - 1)^2, up to ~1e-10: inside 1e-10 scale, not always inside 1e-10
+    sols = solve_system(2, [g])
+    assert len(sols) == 2
+    assert _contains(sols, [g, -1.0 / g], tol=1e-12) and _contains(sols, [g, 1.0 / g], tol=1e-12)
+
+
+@fixed_examples
+@given(finite_gamma, finite_gamma, st.sampled_from(["conjugate", "cpt"]))
 def test_two_unpinned_species_of_different_pairs_are_recovered(g, h, kind):
     a, b = (g, _partner(g, kind)), (h, _partner(h, kind))
     pinned = [a[0], b[0]]
@@ -79,11 +93,44 @@ def test_two_unpinned_species_of_different_pairs_are_recovered(g, h, kind):
 
 
 @fixed_examples
-@given(lattice_gamma, moderate_gamma, st.sampled_from(["conjugate", "cpt"]))
+@given(lattice_gamma, finite_gamma, st.sampled_from(["conjugate", "cpt"]))
 def test_unpinned_lattice_pair_is_recovered(g, h, kind):
     # the pinned pair cancels, so the free pair is a family sampled on the lattice
     system = [h, _partner(h, kind), g, _partner(g, kind)]
     assert _contains(solve_system(4, system[:2]), system)
+
+
+def _ratio(g) -> float:
+    """The Cayley ratio (1 + gamma)/(1 - gamma) = eta e^theta; -1 at gamma = inf."""
+    return -1.0 if g.is_infinite else (1.0 + g.value) / (1.0 - g.value)
+
+
+@fixed_examples
+@given(st.lists(banded_gamma, min_size=1, max_size=3), st.sampled_from(["conjugate", "cpt"]),
+       st.booleans(), st.floats(1e-8, 1e-2), signs)
+def test_perturbed_solutions_never_cancel(gs, kind, zero_and_inf, delta, sign):
+    # a cancelling system of pairs, then the light-cone vector eta (e^theta, e^-theta)
+    # of its largest species stretched by 1 + delta: r_x2 moves by delta |r_log,n| / 2,
+    # at least delta scale / (2 n), six times the 1e-10 scale of cancels at n = 8
+    system = [x for g in gs for x in (g, _partner(g, kind))] + [0.0, "inf"] * zero_and_inf
+    assert residuals(make_system(system)).cancels()
+    gammas = list(make_system(system).gammas)
+    i = max(range(len(gammas)), key=lambda k: abs(residuals(make_system([gammas[k]])).r_log))
+    r = _ratio(gammas[i]) * (1.0 + sign * delta)
+    gammas[i] = as_gamma((r - 1.0) / (r + 1.0))
+    assert not residuals(make_system(gammas)).cancels()
+
+
+@fixed_examples
+@given(banded_gamma, st.floats(1e-4, 3.0), signs)
+def test_boost_scan_verdicts(g, chi, sign):
+    # the CPT pair {g, 1/g} has one rapidity, which a boost shifts for both species,
+    # so it keeps cancelling; the charge-conjugate pair {g, -1/g} has opposite
+    # rapidities, and a boost leaves their |theta| unequal
+    chis = [0.0, sign * chi]
+    cpt = boost_invariance_scan(make_system([g, 1.0 / g]), chis)
+    assert [e.cancels for e in cpt] == [True, True]
+    assert [e.cancels for e in boost_invariance_scan(conjugate_pair(g), chis)] == [True, False]
 
 
 @fixed_examples
