@@ -1,24 +1,37 @@
 """Boundary spectra and regularized edge currents of a 2+1d free fermion on the half plane."""
 
-from .currents import (BulkClosedForm, CurrentDecomposition, PartialFractionData, SingularPart,
-                       bulk_integrand_j2, closed_form_bulk_j2, closed_form_edge_j2,
-                       edge_integrand_j2, heaviside, j1_identically_zero_check, k_of_v,
-                       partial_fractions, singular_part, total_decomposition, v_of_k)
-from .errors import (BoostUndefined, CptInvariantBoundary, DegeneratePair, EdgeCurrentsError,
-                     GridTooSmall, InvalidDeficiency, InvalidMomentum, NoEdgeState,
-                     NonConvergent, OutOfDomain)
-from .fd import apply_dirac_fd, eigen_residual, richardson_residual, sample_on_grid
-from .multifermion import (BoostScanEntry, FermionSystem, ResidualReport, boost_invariance_scan,
-                           conjugate_pair, make_system, rapidity_equivalence_check, residuals,
-                           solve_system)
-from .oracle import (BranchCutResult, P3P4Report, delta_prime_sector_null,
-                     oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                     oracle_p3_p4_cancellations)
-from .params import (GAMMA_INFINITY, BoundaryCharacter, ModelParams, ProjectiveReal, as_gamma,
-                     boost, boundary_character, cpt_dual, edge_velocity, halfplane_dual,
-                     reflection_dual)
-from .spectrum import (BulkMode, DefectMode, EdgeMode, SpinorValue, bulk_mode, defect_mode,
-                       edge_conductivity, edge_mode_at_k, eval_bulk, eval_bulk_grid,
-                       eval_defect, eval_defect_grid, eval_edge, eval_edge_grid, gap_crossing)
+from importlib import import_module
 
+# Submodule -> its exported names, loaded on first use (PEP 562) so that `import edgecurrents`
+# imports no numpy; uncached, so a name rebound in its submodule is what the package returns.
+_EXPORTS = {
+    "currents": """BulkClosedForm CurrentDecomposition PartialFractionData SingularPart
+        bulk_integrand_j2 closed_form_bulk_j2 closed_form_edge_j2 edge_integrand_j2 heaviside k_of_v
+        j1_identically_zero_check partial_fractions singular_part total_decomposition v_of_k""",
+    "errors": """BoostUndefined CptInvariantBoundary DegeneratePair EdgeCurrentsError GridTooSmall
+        InvalidDeficiency InvalidMomentum NoEdgeState NonConvergent OutOfDomain""",
+    "fd": "apply_dirac_fd eigen_residual richardson_residual sample_on_grid",
+    "multifermion": """BoostScanEntry FermionSystem ResidualReport boost_invariance_scan
+        conjugate_pair make_system rapidity_equivalence_check residuals solve_system""",
+    "oracle": """BranchCutResult P3P4Report delta_prime_sector_null oracle_branch_cut_integral
+        oracle_bulk_current oracle_edge_current oracle_p3_p4_cancellations""",
+    "params": """GAMMA_INFINITY BoundaryCharacter ModelParams ProjectiveReal as_gamma boost
+        boundary_character cpt_dual edge_velocity halfplane_dual reflection_dual""",
+    "spectrum": """BulkMode DefectMode EdgeMode SpinorValue bulk_mode defect_mode edge_conductivity
+        edge_mode_at_k eval_bulk eval_bulk_grid eval_defect eval_defect_grid eval_edge
+        eval_edge_grid gap_crossing""",
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if (mod := _MODULE_OF.get(name)) is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # a loaded submodule is bound in this namespace; import_module costs ~1.5 us more
+    return getattr(globals().get(mod) or import_module(f".{mod}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,15 +16,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .currents import closed_form_bulk_j2, closed_form_edge_j2, total_decomposition
 from .errors import EdgeCurrentsError, NonConvergent
 from .multifermion import FermionSystem, residuals, solve_system
-from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
 from .params import (ModelParams, ProjectiveReal, as_gamma, boundary_character, cpt_dual,
                      halfplane_dual, reflection_dual)
-from .spectrum import edge_conductivity, edge_mode_at_k
 
 EXIT_ORACLE_FAIL = 1
 EXIT_REJECTED = 3
@@ -35,15 +30,19 @@ def _fmt(v: float) -> str:
 
 
 def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
+    if (n := int(text)) < 1:
         raise ValueError(text)
     return n
 
 
+def finite_float(text: str) -> float:
+    if not math.isfinite(v := float(text)):
+        raise ValueError(text)
+    return v
+
+
 def positive_float(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v < math.inf:
+    if not 0.0 < (v := float(text)) < math.inf:
         raise ValueError(text)
     return v
 
@@ -52,15 +51,17 @@ def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:
     return tuple(as_gamma(s) for s in text.split(","))
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str, stream=None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    import numpy as np
+    from .spectrum import edge_conductivity, edge_mode_at_k
     p = ModelParams(args.m, args.gamma)
     ch = boundary_character(p.gamma)
     lines = [
@@ -81,6 +82,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    import numpy as np
+    from .currents import total_decomposition
     p = ModelParams(args.m, args.gamma)
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
@@ -100,16 +103,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     }
     if args.Lambda is not None:
         sidecar["log_delta_prime_at_Lambda"] = dec.singular.c_log_delta_prime * math.log(args.Lambda)
-    text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    if args.out is not None:
-        with open(args.out + ".json", "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stderr.write(text)
+    _write(None if args.out is None else args.out + ".json",
+           json.dumps(sidecar, sort_keys=True, indent=2) + "\n", sys.stderr)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .currents import closed_form_bulk_j2, closed_form_edge_j2
+    from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
     p = ModelParams(args.m, args.gamma)
     try:
         if args.what == "edge":
@@ -144,20 +145,18 @@ def cmd_constraints(args: argparse.Namespace) -> int:
                           for s in systems],
             "verdict": "SOLVED" if systems else "INFEASIBLE",
         }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0
-    sys_ = FermionSystem(args.gammas)
-    rep = residuals(sys_)
-    verdict = "CANCELS" if rep.cancels() else "DIVERGENT"
-    report = {
-        "gammas": [("inf" if g.is_infinite else g.value) for g in sys_.gammas],
-        "r_log": rep.r_log,
-        "r_x2": rep.r_x2,
-        "r_dipole": rep.r_dipole,
-        "r_plus": rep.r_plus,
-        "r_minus": rep.r_minus,
-        "verdict": verdict,
-    }
+    else:
+        sys_ = FermionSystem(args.gammas)
+        rep = residuals(sys_)
+        report = {
+            "gammas": [("inf" if g.is_infinite else g.value) for g in sys_.gammas],
+            "r_log": rep.r_log,
+            "r_x2": rep.r_x2,
+            "r_dipole": rep.r_dipole,
+            "r_plus": rep.r_plus,
+            "r_minus": rep.r_minus,
+            "verdict": "CANCELS" if rep.cancels() else "DIVERGENT",
+        }
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
@@ -179,16 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="edge dispersion table")
-    sp.add_argument("--m", type=float, required=True)
+    sp.add_argument("--m", type=finite_float, required=True)
     sp.add_argument("--gamma", type=as_gamma, required=True)
-    sp.add_argument("--k-min", dest="k_min", type=float, default=-2.0)
-    sp.add_argument("--k-max", dest="k_max", type=float, default=2.0)
+    sp.add_argument("--k-min", dest="k_min", type=finite_float, default=-2.0)
+    sp.add_argument("--k-max", dest="k_max", type=finite_float, default=2.0)
     sp.add_argument("--points", type=positive_int, default=41)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
     pr = sub.add_parser("profile", help="current-density profile (geometric x grid)")
-    pr.add_argument("--m", type=float, required=True)
+    pr.add_argument("--m", type=finite_float, required=True)
     pr.add_argument("--gamma", type=as_gamma, required=True)
     pr.add_argument("--x-min", dest="x_min", type=positive_float, default=0.1)
     pr.add_argument("--x-max", dest="x_max", type=positive_float, default=5.0)
@@ -199,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_profile)
 
     orc = sub.add_parser("oracle", help="closed form vs quadrature comparison")
-    orc.add_argument("--m", type=float, required=True)
+    orc.add_argument("--m", type=finite_float, required=True)
     orc.add_argument("--gamma", type=as_gamma, default="2")
-    orc.add_argument("--x", type=float, required=True)
+    orc.add_argument("--x", type=finite_float, required=True)
     orc.add_argument("--what", choices=("edge", "bulk", "branch-cut"), required=True)
-    orc.add_argument("--tol", type=float, default=None)
+    orc.add_argument("--tol", type=positive_float, default=None)
     orc.set_defaults(func=cmd_oracle)
 
     co = sub.add_parser("constraints", help="multi-fermion residual report / solver")
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.set_defaults(func=cmd_constraints)
 
     du = sub.add_parser("dual", help="apply a duality map to (m, gamma)")
-    du.add_argument("--m", type=float, required=True)
+    du.add_argument("--m", type=finite_float, required=True)
     du.add_argument("--gamma", type=as_gamma, required=True)
     du.add_argument("--which", choices=("reflection", "cpt", "halfplane"), required=True)
     du.set_defaults(func=cmd_dual)

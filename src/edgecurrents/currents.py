@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import CptInvariantBoundary, InvalidMomentum, NoEdgeState, OutOfDomain
-from .params import ModelParams, _inverted_if_huge, reflection_dual
+from .params import ModelParams, _singular_coefficients, reflection_dual
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
@@ -286,22 +286,6 @@ def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
     if g > 0:
         out -= c * (1.0 / (2.0 * x * x) + p.m / (g * x)) * np.exp(-2.0 * p.m * x / g)
     return _as_output(out)
-
-
-def _singular_coefficients(g: float | None) -> tuple[float, float, float]:
-    """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None.
-
-    Written in (h, s) of params._inverted_if_huge and d = s (h - 1)(h + 1),
-    which keeps full precision next to +-1.
-    """
-    if g is None:
-        return -1.0 / (2.0 * math.pi), 0.0, 0.0
-    h, s = _inverted_if_huge(g)
-    d = s * ((h - 1.0) * (h + 1.0))
-    c_log = -(1.0 / (2.0 * math.pi)) * (h * h + 1.0) / d
-    c_dip = 0.0 if g == 0.0 else (h / (math.pi * d)) * math.log(abs((1.0 + h) / (1.0 - h)))
-    c_x2 = -abs(h) / (4.0 * math.pi * d)
-    return c_log, c_dip, c_x2
 
 
 def singular_part(p: ModelParams) -> SingularPart:

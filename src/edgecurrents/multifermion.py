@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from itertools import product, takewhile
 from typing import Iterable, Sequence
 
-from .currents import _singular_coefficients
 from .errors import CptInvariantBoundary, DegeneratePair
-from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio, as_gamma,
-                     boost, boundary_character)
+from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio,
+                     _singular_coefficients, as_gamma, boost, boundary_character)
 
 
 @dataclass(frozen=True)

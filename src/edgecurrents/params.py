@@ -119,6 +119,22 @@ def _inverted_if_huge(g: float) -> tuple[float, float]:
     return (g, 1.0) if abs(g) <= 1e150 else (1.0 / g, -1.0)
 
 
+def _singular_coefficients(g: float | None) -> tuple[float, float, float]:
+    """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None.
+
+    Written in (h, s) of _inverted_if_huge and d = s (h - 1)(h + 1),
+    which keeps full precision next to +-1.
+    """
+    if g is None:
+        return -1.0 / (2.0 * math.pi), 0.0, 0.0
+    h, s = _inverted_if_huge(g)
+    d = s * ((h - 1.0) * (h + 1.0))
+    c_log = -(1.0 / (2.0 * math.pi)) * (h * h + 1.0) / d
+    c_dip = 0.0 if g == 0.0 else (h / (math.pi * d)) * math.log(abs((1.0 + h) / (1.0 - h)))
+    c_x2 = -abs(h) / (4.0 * math.pi * d)
+    return c_log, c_dip, c_x2
+
+
 def edge_velocity(gamma: GammaLike) -> float:
     """Common travel velocity 2*gamma/(1+gamma^2) of all edge modes; 0 at gamma=inf.
 

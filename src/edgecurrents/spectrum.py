@@ -139,7 +139,7 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
         d, n = s * (h * h - 1.0), 1.0 + h * h
         E = (2.0 * h * k - d * p.m) / n
         lam = (d * k + 2.0 * h * p.m) / n
-    if lam <= 0.0:
+    if not lam > 0.0:
         return None
     return EdgeMode(k=k, E=E, lam=lam)
 

@@ -206,6 +206,16 @@ def test_oracle_usage_errors(capsys, extra):
     (["profile", "--m", "1", "--gamma", "2", "--points", "0"], "'0'"),
     (["profile", "--m", "1", "--gamma", "2", "--lambda", "-1"], "'-1'"),
     (["constraints", "--gammas", "2,1"], "gamma = +-1"),
+    (["spectrum", "--m", "1", "--gamma", "2", "--k-min", "nan"], "'nan'"),
+    (["spectrum", "--m", "1", "--gamma", "2", "--k-max", "inf"], "'inf'"),
+    (["spectrum", "--m", "nan", "--gamma", "2"], "'nan'"),
+    (["spectrum", "--m", "inf", "--gamma", "2"], "'inf'"),
+    (["profile", "--m=-inf", "--gamma", "2"], "'-inf'"),
+    (["dual", "--m", "nan", "--gamma", "0.5", "--which", "cpt"], "'nan'"),
+    (["oracle", "--m", "nan", "--x", "1", "--what", "edge"], "'nan'"),
+    (["oracle", "--m", "1", "--x", "inf", "--what", "edge"], "'inf'"),
+    (["oracle", "--m", "1", "--x", "0.7", "--what", "edge", "--tol", "nan"], "'nan'"),
+    (["oracle", "--m", "1", "--x", "0.7", "--what", "edge", "--tol", "0"], "'0'"),
 ])
 def test_bad_input_is_one_line(capsys, argv, named):
     # an exception escaping main would be a traceback, and any warning fails here
@@ -291,6 +301,29 @@ def test_import_skips_scipy():
     res = run_fresh(["-c", script])
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[0, 0, 0] []\n"
+
+
+def modules_after_main(argvs):
+    """Exit codes and the numpy-based modules loaded by main(argv) in a fresh interpreter."""
+    script = ("import contextlib, io, sys\n"
+              "import edgecurrents\n"
+              "from edgecurrents.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    codes = [main(a.split()) for a in {argvs!r}]\n"
+              "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd')\n"
+              "print(codes, [n for n in heavy if n in sys.modules])\n")
+    res = run_fresh(["-c", script])
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_scalar_subcommands_skip_numpy():
+    # constraints and dual are math on a few gammas; spectrum and profile load no oracle or fd
+    assert modules_after_main(["constraints --gammas 2,-0.5", "constraints --solve 2 --fix 2",
+                               "dual --m 1 --gamma 0 --which reflection"]) == "[0, 0, 0] []\n"
+    assert modules_after_main(["spectrum --m 1 --gamma 2 --points 5",
+                               "profile --m 1 --gamma 2 --points 5"]) == "[0, 0] ['numpy']\n"
 
 
 @pytest.mark.parametrize("argv", [

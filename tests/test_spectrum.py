@@ -85,6 +85,11 @@ def test_edge_mode_disappears():
     assert edge_mode_at_k(p, -1.0) is not None
 
 
+def test_edge_mode_nan_decay_rate_is_no_mode():
+    assert edge_mode_at_k(ModelParams(1.0, as_gamma(2.0)), math.nan) is None
+    assert edge_mode_at_k(ModelParams(math.nan, as_gamma(2.0)), 0.0) is None
+
+
 def test_edge_mode_unit_gamma_rule():
     mode = edge_mode_at_k(ModelParams(1.0, as_gamma(1.0)), 0.7)
     assert mode.E == pytest.approx(0.7)
