@@ -19,7 +19,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import CptInvariantBoundary, InvalidMomentum, NoEdgeState, OutOfDomain
-from .params import ModelParams, _singular_coefficients, reflection_dual
+from .params import (ModelParams, _homogeneous, _singular_coefficients, edge_velocity,
+                     reflection_dual)
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
@@ -47,30 +48,26 @@ def bulk_integrand_j2(p: ModelParams, l: float, k: float, x: float) -> float:
     """j^2 of a single filled bulk mode: k/E - (1/E) Re((f/g) e^{-2ilx}).
 
     g = m - E + gamma (k - il), f = (k - il) g*, on the negative energy
-    branch.  Identical to u^dagger sigma_2 u of the evaluated spinor.
+    branch; f/g is unchanged by scaling g to a (m - E) + b (k - il) in the
+    homogeneous coordinates of params._homogeneous.  Identical to
+    u^dagger sigma_2 u of the evaluated spinor.
     """
     _reject_cpt_invariant(p)
     if l <= 0:
         raise InvalidMomentum(f"bulk modes need l > 0, got l={l}")
     E = -math.sqrt(k * k + l * l + p.m * p.m)
-    if p.gamma.is_infinite:
-        # gamma -> inf limit of f/g = (k-il) g*/g with g ~ gamma (k-il)
-        ratio = k + 1j * l
-    else:
-        g = p.m - E + p.gamma.value * (k - 1j * l)
-        ratio = (k - 1j * l) * np.conj(g) / g
+    a, b = _homogeneous(p.gamma)
+    g = a * (p.m - E) + b * (k - 1j * l)
+    ratio = (k - 1j * l) * np.conj(g) / g
     return k / E - float(np.real(ratio * np.exp(-2j * l * x))) / E
 
 
 def edge_integrand_j2(p: ModelParams, k: float, x: float) -> float:
-    """j^2 of a single filled edge mode: 2 gamma lam/(1+gamma^2) e^{-2 lam x}."""
+    """j^2 of a single filled edge mode: v_edge lam e^{-2 lam x}, v_edge = 2 gamma/(1+gamma^2)."""
     mode = edge_mode_at_k(p, k)
     if mode is None:
         raise NoEdgeState(f"no edge mode at k={k} for (m={p.m}, gamma={p.gamma})")
-    if p.gamma.is_infinite:
-        return 0.0  # spinor direction (0, -1): psi_1* psi_2 = 0
-    g = p.gamma.value
-    return 2.0 * g * mode.lam / (1.0 + g * g) * math.exp(-2.0 * mode.lam * x)
+    return edge_velocity(p.gamma) * mode.lam * math.exp(-2.0 * mode.lam * x)
 
 
 def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
@@ -115,20 +112,20 @@ class PartialFractionData:
 
     P1 = a/2, P2 = -(a/2) v^-2, P3 = il (gamma+1)/(gamma-1) v^-1 and
     P4 = -il 4 gamma/(gamma^2-1) (v - v3)^-1 satisfy, pointwise off the pole,
-    P1+P2+P3+P4 = (f/g)/v = -(f/g)(1/E)(dk/dv).  D1, D2 are the two quadratic
-    denominators (D2 degenerates at gamma = 0, D1 at gamma = inf).
+    P1+P2+P3+P4 = (f/g)/v = -(f/g)(1/E)(dk/dv).  gamma enters through its
+    homogeneous coordinates ``gamma_ab`` of params._homogeneous (not the scale a).
+    D1, D2 are the two quadratic denominators; D1 degenerates at gamma = inf,
+    D2 at gamma = 0.
     """
 
     m: float
-    gamma_finite: float | None  # None encodes gamma = inf
+    gamma_ab: tuple[float, float]
     l: float
     a: float
     v3: complex
     v4: complex
     p3_coeff: complex
     p4_coeff: complex
-    d1_coeffs: tuple[complex, complex, complex] | None
-    d2_coeffs: tuple[complex, complex, complex] | None
 
     def p1(self, v):
         return self.a / 2.0 * np.ones_like(np.asarray(v, dtype=float))
@@ -150,26 +147,26 @@ class PartialFractionData:
         v = np.asarray(v, dtype=float)
         k = self.a * (v - 1.0 / v) / 2.0
         E = -self.a * (v + 1.0 / v) / 2.0
-        if self.gamma_finite is None:
-            ratio = k + 1j * self.l  # limit of (k-il) g*/g for g ~ gamma (k-il)
-        else:
-            g = self.m - E + self.gamma_finite * (k - 1j * self.l)
-            ratio = (k - 1j * self.l) * np.conj(g) / g
+        ga, gb = self.gamma_ab
+        g = ga * (self.m - E) + gb * (k - 1j * self.l)
+        ratio = (k - 1j * self.l) * np.conj(g) / g
         return ratio / v
 
     def d1(self, v):
-        if self.d1_coeffs is None:
+        """D1 = (a/2)(1 + gamma)(v - v3)(v - v4)."""
+        ga, gb = self.gamma_ab
+        if ga == 0.0:
             raise ValueError("D1 degenerates at gamma = inf")
-        c2, c1, c0 = self.d1_coeffs
         v = np.asarray(v, dtype=float)
-        return c2 * v * v + c1 * v + c0
+        return self.a / 2.0 * (gb / ga + 1.0) * (v - self.v3) * (v - self.v4)
 
     def d2(self, v):
-        if self.d2_coeffs is None:
+        """D2 = (a/2)(1 + 1/gamma)(v - v3)(v + v4), the conjugate of D1 at (-m, 1/gamma)."""
+        ga, gb = self.gamma_ab
+        if gb == 0.0:
             raise ValueError("D2 degenerates at gamma = 0")
-        c2, c1, c0 = self.d2_coeffs
         v = np.asarray(v, dtype=float)
-        return c2 * v * v + c1 * v + c0
+        return self.a / 2.0 * (ga / gb + 1.0) * (v - self.v3) * (v + self.v4)
 
 
 def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
@@ -179,30 +176,12 @@ def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
         raise InvalidMomentum(f"need l > 0, got l={l}")
     m = p.m
     a = math.sqrt(l * l + m * m)
-    v4 = (-1j * l + m) / a
-    if p.gamma.is_infinite:
-        v3 = (1j * l + m) / a  # limit of (gamma-1)/(gamma+1) -> 1
-        p3_coeff = 1j * l
-        p4_coeff = 0.0j
-        d1 = None
-        d2 = ((a / 2.0) * 1.0, (a / 2.0) * (v4 - v3), -(a / 2.0) * v3 * v4)
-    else:
-        g = p.gamma.value
-        v3 = (1j * l + m) / a * (g - 1.0) / (g + 1.0)
-        p3_coeff = 1j * l * (g + 1.0) / (g - 1.0)
-        p4_coeff = -1j * l * 4.0 * g / (g * g - 1.0)
-        c1 = (a / 2.0) * (g + 1.0)
-        d1 = (c1, -c1 * (v3 + v4), c1 * v3 * v4)
-        if g == 0.0:
-            d2 = None
-        else:
-            c2 = (a / 2.0) * (1.0 / g + 1.0)
-            d2 = (c2, c2 * (v4 - v3), -c2 * v3 * v4)
+    ga, gb = _homogeneous(p.gamma)
     return PartialFractionData(
-        m=m, gamma_finite=None if p.gamma.is_infinite else p.gamma.value,
-        l=l, a=a, v3=complex(v3), v4=complex(v4),
-        p3_coeff=complex(p3_coeff), p4_coeff=complex(p4_coeff),
-        d1_coeffs=d1, d2_coeffs=d2,
+        m=m, gamma_ab=(ga, gb), l=l, a=a,
+        v3=complex((1j * l + m) / a * (gb - ga) / (gb + ga)), v4=complex((-1j * l + m) / a),
+        p3_coeff=complex(1j * l * (gb + ga) / (gb - ga)),
+        p4_coeff=complex(-1j * l * 4.0 * ga * gb / (gb * gb - ga * ga)),
     )
 
 
@@ -231,17 +210,12 @@ class BulkClosedForm:
     c_delta_prime: float
 
 
-def _gamma_value_checked(p: ModelParams) -> float | None:
-    """Finite gamma value, None for gamma = inf; rejects gamma = +-1."""
-    _reject_cpt_invariant(p)
-    return None if p.gamma.is_infinite else p.gamma.value
-
-
 def _closed_form_domain(p: ModelParams, x: float | np.ndarray) -> np.ndarray:
-    """x as a float array; rejects any x <= 0 and m < 0."""
+    """x as a float array; rejects any x outside (0, inf), nan included, and m < 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise OutOfDomain(f"closed form only valid at x > 0, got x={x.min()}")
+    inside = (x > 0.0) & (x < math.inf)
+    if not inside.all():
+        raise OutOfDomain(f"closed forms need 0 < x < inf, got x={x[~inside].flat[0]}")
     if p.m < 0:
         raise OutOfDomain("closed forms are derived for m >= 0; use total_decomposition")
     return x
@@ -252,18 +226,17 @@ def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> BulkClosedForm
 
     smooth = [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx}
              - [g/(pi (g^2-1))] (1/(2x^2)) Theta(g^2-1),
-    with the two delta' coefficients of singular_part.  The smooth part
-    vanishes in the gamma = inf limit.
+    with the two delta' coefficients of singular_part.  Written in the
+    homogeneous coordinates (a, b) of params._homogeneous, g/(g^2-1) =
+    ab/(b^2-a^2), so the smooth part is 0 at gamma = inf and stays finite
+    where g^2 would overflow.
     """
     x = _closed_form_domain(p, x)
     s = singular_part(p)
-    g = p.gamma.value
-    if g is None:
-        smooth = np.zeros_like(x)
-    else:
-        c = g / (2.0 * math.pi * (g * g - 1.0))
-        smooth = c * (1.0 / (2.0 * x * x) + p.m / x) * np.exp(-2.0 * p.m * x)
-        smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * heaviside(g * g - 1.0)
+    a, b = _homogeneous(p.gamma)
+    c = a * b / (2.0 * math.pi * (b * b - a * a))
+    smooth = c * (1.0 / (2.0 * x * x) + p.m / x) * np.exp(-2.0 * p.m * x)
+    smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * heaviside(b * b - a * a)
     return BulkClosedForm(smooth=_as_output(smooth), c_log_delta_prime=s.c_log_delta_prime,
                           c_delta_prime=s.c_delta_prime)
 
@@ -271,20 +244,22 @@ def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> BulkClosedForm
 def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
     """Closed-form edge current at x > 0 for m >= 0; x broadcasts.
 
-    [g/(2 pi (g^2-1) x^2)] [ Theta(g^2-1) - (1+t) e^{-t} Theta(g) ],  t = 2mx/g.
+    [g/(2 pi (g^2-1) x^2)] [ Theta(g^2-1) - (1+t) e^{-t} Theta(g) ],  t = 2mx/g,
+    written in the homogeneous coordinates (a, b) of params._homogeneous.
     Vanishes identically for gamma in (-1, 0) and for gamma in {0, inf}.
     """
     x = _closed_form_domain(p, x)
-    g = _gamma_value_checked(p)
-    if g is None or g == 0.0:
+    _reject_cpt_invariant(p)
+    a, b = _homogeneous(p.gamma)
+    if b == 0.0:  # v_edge = 0; t = 2mx/g is undefined
         return _as_output(np.zeros_like(x))
-    c = g / (math.pi * ((g - 1.0) * (g + 1.0)))
-    if g > 1.0:  # the bracket 1 - (1+t) e^{-t} without its cancellation at small t
-        t = 2.0 * p.m * x / g
+    c = a * b / (math.pi * ((b - a) * (b + a)))
+    if b > a:  # gamma > 1: the bracket 1 - (1+t) e^{-t} without its cancellation at small t
+        t = 2.0 * p.m * x * a / b
         return _as_output(c * (1.0 / (2.0 * x * x)) * (-np.expm1(-t) - t * np.exp(-t)))
-    out = c * (1.0 / (2.0 * x * x)) * heaviside(g * g - 1.0)
-    if g > 0:
-        out -= c * (1.0 / (2.0 * x * x) + p.m / (g * x)) * np.exp(-2.0 * p.m * x / g)
+    out = c * (1.0 / (2.0 * x * x)) * heaviside(b * b - a * a)
+    if b > 0:
+        out -= c * (1.0 / (2.0 * x * x) + p.m * a / (b * x)) * np.exp(-2.0 * p.m * x * a / b)
     return _as_output(out)
 
 
@@ -292,9 +267,10 @@ def singular_part(p: ModelParams) -> SingularPart:
     """The three singular coefficients of <j^2>; a function of gamma alone.
 
     c_log = -(1/2pi)(g^2+1)/(g^2-1), c_dipole = [g/(pi(g^2-1))] ln|(1+g)/(1-g)|,
-    c_x2 = -|g|/(4 pi (g^2-1)); analytic gamma = inf limits (-1/2pi, 0, 0).
+    c_x2 = -|g|/(4 pi (g^2-1)); (-1/2pi, 0, 0) at gamma = inf.
     """
-    return SingularPart(*_singular_coefficients(_gamma_value_checked(p)))
+    _reject_cpt_invariant(p)
+    return SingularPart(*_singular_coefficients(*_homogeneous(p.gamma)))
 
 
 @dataclass(frozen=True)

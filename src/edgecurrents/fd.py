@@ -60,14 +60,14 @@ def sample_on_grid(fn, x0: float, y0: float, nx: int, ny: int, h: float) -> np.n
 
 
 def eigen_residual(fn, E: complex, p: ModelParams, x0: float, y0: float,
-                   nx: int, ny: int, h: float, interior_only: bool = True) -> float:
-    """Relative residual ||(H_h - E) psi|| / ||psi|| of a sampled eigenfunction."""
+                   nx: int, ny: int, h: float) -> float:
+    """Relative residual ||(H_h - E) psi|| / ||psi|| of a sampled eigenfunction.
+
+    Both norms run over the interior points, where the stencils are centred.
+    """
     grid = sample_on_grid(fn, x0, y0, nx, ny, h)
-    res = apply_dirac_fd(grid, p, h) - E * grid
-    if interior_only:
-        res = res[1:-1, 1:-1]
-        grid = grid[1:-1, 1:-1]
-    return float(np.linalg.norm(res) / np.linalg.norm(grid))
+    res = (apply_dirac_fd(grid, p, h) - E * grid)[1:-1, 1:-1]
+    return float(np.linalg.norm(res) / np.linalg.norm(grid[1:-1, 1:-1]))
 
 
 def richardson_residual(fn, E: complex, p: ModelParams, x0: float, y0: float,

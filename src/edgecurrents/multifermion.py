@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import CptInvariantBoundary, DegeneratePair
 from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio,
-                     _singular_coefficients, as_gamma, boost, boundary_character)
+                     _homogeneous, _singular_coefficients, as_gamma, boost, boundary_character)
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,14 @@ def _summands(g: ProjectiveReal) -> tuple[float, float, float, float, float]:
 
     The first three are the singular_part coefficients rescaled; the last two
     are the light-cone components eta e^{+-|theta|}, the Cayley ratios
-    (1 +- |gamma|)/(1 -+ |gamma|), -1 at gamma = inf.
+    (1 +- |gamma|)/(1 -+ |gamma|), -1 at gamma = inf: (a +- |b|)/(a -+ |b|) in the
+    homogeneous coordinates of params._homogeneous.
     """
-    c_log, c_dip, c_x2 = _singular_coefficients(None if g.is_infinite else g.value)
-    if g.is_infinite:
-        plus = minus = -1.0
-    else:
-        a = abs(g.value)
-        # 1 + 2a/(1 - a) rounds less than (1 + a)/(1 - a); 1 - 2a/(1 + a) would cancel at a ~ 1
-        plus, minus = 1.0 + 2.0 * a / (1.0 - a), (1.0 - a) / (1.0 + a)
+    a, b = _homogeneous(g)
+    c_log, c_dip, c_x2 = _singular_coefficients(a, b)
+    # 1 + 2|b|/(a - |b|) rounds less than (a + |b|)/(a - |b|); a - 2|b|/(a + |b|) would
+    # cancel at |b| ~ a
+    plus, minus = 1.0 + 2.0 * abs(b) / (a - abs(b)), (a - abs(b)) / (a + abs(b))
     return -2.0 * math.pi * c_log, -4.0 * math.pi * c_x2, c_dip, plus, minus
 
 

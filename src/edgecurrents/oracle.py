@@ -27,7 +27,7 @@ import numpy as np
 
 from .currents import heaviside, partial_fractions
 from .errors import CptInvariantBoundary, NonConvergent, OutOfDomain
-from .params import ModelParams, _inverted_if_huge, edge_velocity
+from .params import ModelParams, _homogeneous, edge_velocity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # Rays of the Abel-limit oracles, and the largest relative difference
@@ -103,21 +103,21 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     E = (2 g lam - m (1+g^2))/(g^2-1), so E < -m reads g lam < m where
     g (g^2-1) > 0 and g lam > m where g (g^2-1) < 0.  Each mode carries
     (dk/pi) v_edge u e^{-2ux}, with the edge velocity v_edge = 2g/(1+g^2) and
-    |dk/du| = (1+g^2)/|g^2-1|, both written in h of params._inverted_if_huge.
+    |dk/du| = (1+g^2)/|g^2-1|, all written in the homogeneous coordinates
+    (a, b) of params._homogeneous.  At gamma = inf no decay rate is occupied.
     """
     if p.is_cpt_invariant_bc:
         raise CptInvariantBoundary("oracle rejects gamma = +-1")
     _check_x(x)
-    g = p.gamma.value
-    if g is None or g == 0.0:
+    a, b = _homogeneous(p.gamma)
+    if b == 0.0:
         return 0.0  # v_edge = 0: the edge spinor carries no j^2
-    u_fermi = p.m / g  # the decay rate at E = -m
-    lo, hi = (0.0, u_fermi) if (abs(g) > 1.0) == (g > 0.0) else (max(0.0, u_fermi), math.inf)
+    u_fermi = p.m * a / b  # the decay rate at E = -m
+    lo, hi = (0.0, u_fermi) if (abs(b) > a) == (b > 0.0) else (max(0.0, u_fermi), math.inf)
     if not lo < hi:
         return 0.0
     hi = min(hi, lo + 40.0 / x)
-    h, _ = _inverted_if_huge(g)
-    dk_du = (1.0 + h * h) / abs((h - 1.0) * (h + 1.0))
+    dk_du = (a * a + b * b) / abs((b - a) * (b + a))
     edges = np.linspace(lo, hi, math.ceil(2.0 * x * (hi - lo)) + 1)
     total = float(quad(lambda u: u * np.exp(-2.0 * u * x), edges))
     return edge_velocity(p.gamma) * dk_du / math.pi * total
@@ -163,13 +163,9 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:
     numeric = complex(quad(lambda t: np.exp(t) / (np.exp(t) - pf.v3), edges))
     # Im(v - v3) is constant along the path, so principal logs are branch-safe
     exact = cmath.log(LAMBDA - pf.v3) - cmath.log(1.0 / LAMBDA - pf.v3)
-    g = pf.gamma_finite
-    theta = math.atan2(l, p.m)
-    if g is None:
-        log_const = 1j * theta - 1j * math.pi  # |(gamma-1)/(gamma+1)| -> 1, gamma^2 > 1
-    else:
-        log_const = (1j * theta + math.log(abs((g - 1.0) / (g + 1.0)))
-                     - 1j * math.pi * heaviside(g * g - 1.0))
+    a, b = pf.gamma_ab
+    log_const = (1j * math.atan2(l, p.m) + math.log(abs((b - a) / (b + a)))
+                 - 1j * math.pi * heaviside(b * b - a * a))
     asymptotic = T - log_const
     return P3P4Report(
         symmetric_residual=sym_resid,
@@ -234,12 +230,13 @@ def oracle_bulk_current(p: ModelParams, x: float) -> float:
     """
     if p.is_cpt_invariant_bc:
         raise CptInvariantBoundary("oracle rejects gamma = +-1")
-    if p.gamma.is_infinite or p.gamma.value == 0.0:
+    a, b = _homogeneous(p.gamma)
+    if a * b == 0.0:
         raise OutOfDomain("bulk pipeline needs gamma not in {0, inf}")
     if not 0.0 <= p.m < math.inf:
         raise OutOfDomain("bulk pipeline is run at m >= 0; use duality for m < 0")
     _check_x(x)
-    g = p.gamma.value
-    # i l coeff (i arctan(l/m) - i theta_branch), theta_branch = pi Theta(g^2-1)
-    coeff = 4.0 * g / ((g - 1.0) * (g + 1.0)) / (2.0 * math.pi ** 2)
-    return _abel_limit(p.m, x, coeff * (math.pi if abs(g) > 1.0 else 0.0), -coeff)[0]
+    # i l coeff (i arctan(l/m) - i theta_branch), theta_branch = pi Theta(g^2-1);
+    # g/(g^2-1) = ab/(b^2-a^2) in the homogeneous coordinates of params._homogeneous
+    coeff = 4.0 * a * b / ((b - a) * (b + a)) / (2.0 * math.pi ** 2)
+    return _abel_limit(p.m, x, coeff * (math.pi if abs(b) > a else 0.0), -coeff)[0]

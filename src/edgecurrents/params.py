@@ -111,40 +111,37 @@ class BoundaryCharacter:
     epsilon: int | None
 
 
-def _inverted_if_huge(g: float) -> tuple[float, float]:
-    """(h, s) = (g, 1), or (1/g, -1) where g^2 would overflow (|g| > 1e150).
+def _homogeneous(gamma: ProjectiveReal) -> tuple[float, float]:
+    """Homogeneous coordinates (a, b) of gamma = b/a: the condition a psi_2 = i b psi_1.
 
-    The edge and singular formulas keep their form in h up to the sign s of g^2 - 1.
+    (1, gamma) up to |gamma| = 1e150, (1/|gamma|, sgn gamma) above, where gamma^2
+    would overflow, and (0, 1) at gamma = inf.  So a >= 0, a^2 + b^2 never
+    overflows, and every formula of gamma, written once in (a, b), covers the
+    whole projective line; with a = 1 it is the plain formula in gamma.
     """
-    return (g, 1.0) if abs(g) <= 1e150 else (1.0 / g, -1.0)
-
-
-def _singular_coefficients(g: float | None) -> tuple[float, float, float]:
-    """(c_log, c_dipole, c_x2) at a finite gamma value, or at gamma = inf for None.
-
-    Written in (h, s) of _inverted_if_huge and d = s (h - 1)(h + 1),
-    which keeps full precision next to +-1.
-    """
+    g = gamma.value
     if g is None:
-        return -1.0 / (2.0 * math.pi), 0.0, 0.0
-    h, s = _inverted_if_huge(g)
-    d = s * ((h - 1.0) * (h + 1.0))
-    c_log = -(1.0 / (2.0 * math.pi)) * (h * h + 1.0) / d
-    c_dip = 0.0 if g == 0.0 else (h / (math.pi * d)) * math.log(abs((1.0 + h) / (1.0 - h)))
-    c_x2 = -abs(h) / (4.0 * math.pi * d)
+        return 0.0, 1.0
+    return (1.0, g) if abs(g) <= 1e150 else (1.0 / abs(g), math.copysign(1.0, g))
+
+
+def _singular_coefficients(a: float, b: float) -> tuple[float, float, float]:
+    """(c_log, c_dipole, c_x2) at gamma = b/a, see _homogeneous.
+
+    d = (b - a)(b + a) keeps full precision next to gamma = +-1.  c_x2 is
+    0.0 - (...), which is +0.0 at gamma = inf, as at gamma = 0.
+    """
+    d = (b - a) * (b + a)
+    c_log = -(1.0 / (2.0 * math.pi)) * (b * b + a * a) / d
+    c_dip = 0.0 if b == 0.0 else (a * b / (math.pi * d)) * math.log(abs((a + b) / (a - b)))
+    c_x2 = 0.0 - abs(a * b) / (4.0 * math.pi * d)
     return c_log, c_dip, c_x2
 
 
 def edge_velocity(gamma: GammaLike) -> float:
-    """Common travel velocity 2*gamma/(1+gamma^2) of all edge modes; 0 at gamma=inf.
-
-    Invariant under gamma -> 1/gamma, so written in h of _inverted_if_huge.
-    """
-    g = as_gamma(gamma)
-    if g.is_infinite:
-        return 0.0
-    h, _ = _inverted_if_huge(g.value)
-    return 2.0 * h / (1.0 + h * h)
+    """Common travel velocity 2*gamma/(1+gamma^2) of all edge modes; 0 at gamma=inf."""
+    a, b = _homogeneous(as_gamma(gamma))
+    return 2.0 * a * b / (a * a + b * b)
 
 
 def boundary_character(gamma: GammaLike) -> BoundaryCharacter:
@@ -158,15 +155,13 @@ def boundary_character(gamma: GammaLike) -> BoundaryCharacter:
     """
     g = as_gamma(gamma)
     v = edge_velocity(g)
-    if g.is_infinite:
-        return BoundaryCharacter(v_edge=v, eta=-1, theta=0.0, epsilon=None)
-    x = g.value
-    if abs(x) == 1.0:
+    a, b = _homogeneous(g)
+    if abs(b) == a:
         # maximal edge velocity: signature undefined, rapidity infinite
         return BoundaryCharacter(v_edge=v, eta=None, theta=None, epsilon=1 if v > 0 else -1)
-    eta = 1 if abs(x) < 1.0 else -1
-    h = x if eta == 1 else 1.0 / x
-    theta = 2.0 * math.atanh(h) if abs(h) < 0.5 else math.log(abs((1.0 + x) / (1.0 - x)))
+    eta = 1 if abs(b) < a else -1
+    h = b / a if eta == 1 else a / b
+    theta = 2.0 * math.atanh(h) if abs(h) < 0.5 else math.log(abs((a + b) / (a - b)))
     epsilon = None if v == 0.0 else (1 if v > 0 else -1)
     return BoundaryCharacter(v_edge=v, eta=eta, theta=theta, epsilon=epsilon)
 

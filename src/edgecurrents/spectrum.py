@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDeficiency, InvalidMomentum
-from .params import GammaLike, ModelParams, _inverted_if_huge, as_gamma
+from .params import GammaLike, ModelParams, _homogeneous, as_gamma
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     """Construct the bulk mode (l, k) on the requested energy branch.
 
     E = -+sqrt(k^2 + l^2 + m^2), rho = (k + i l)/(m - E) and the boundary
-    phase e^{i phi} = (1 + gamma rho*)/(1 + gamma rho); the gamma = inf limit
-    is rho*/rho.
+    phase e^{i phi} = (1 + gamma rho*)/(1 + gamma rho), written as
+    (a + b rho*)/(a + b rho) in the homogeneous coordinates of params._homogeneous.
     """
     if l <= 0:
         raise InvalidMomentum(f"bulk modes need l > 0, got l={l}")
@@ -98,11 +98,8 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     if branch == "negative":
         E = -E
     rho = (k + 1j * l) / (p.m - E)
-    if p.gamma.is_infinite:
-        phase = np.conj(rho) / rho
-    else:
-        g = p.gamma.value
-        phase = (1.0 + g * np.conj(rho)) / (1.0 + g * rho)
+    a, b = _homogeneous(p.gamma)
+    phase = (a + b * np.conj(rho)) / (a + b * rho)
     return BulkMode(l=float(l), k=float(k), E=E, rho=complex(rho), phase=complex(phase))
 
 
@@ -127,18 +124,14 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
 
     Generic gamma:  E = [2g/(1+g^2)] k + [(1-g^2)/(1+g^2)] m and
     lam = [(g^2-1)/(g^2+1)] k + [2g/(g^2+1)] m; at gamma = +-1 this is
-    E = gamma*k, lam = gamma*m.  The limit gamma = inf (E = -m, lam = k) is a
-    dedicated branch.  Written in (h, s) of params._inverted_if_huge.
+    E = gamma*k, lam = gamma*m, and at gamma = inf E = -m, lam = k.  Written
+    in the homogeneous coordinates (a, b) of params._homogeneous.
     """
     k = float(k)
-    if p.gamma.is_infinite:
-        E, lam = -p.m, k
-    else:
-        g = p.gamma.value
-        h, s = _inverted_if_huge(g)
-        d, n = s * (h * h - 1.0), 1.0 + h * h
-        E = (2.0 * h * k - d * p.m) / n
-        lam = (d * k + 2.0 * h * p.m) / n
+    a, b = _homogeneous(p.gamma)
+    d, n = b * b - a * a, a * a + b * b
+    E = (2.0 * a * b * k - d * p.m) / n
+    lam = (d * k + 2.0 * a * b * p.m) / n
     if not lam > 0.0:
         return None
     return EdgeMode(k=k, E=E, lam=lam)
@@ -146,15 +139,17 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
 
 def eval_edge(mode: EdgeMode, p: ModelParams, x: float | np.ndarray,
               y: float | np.ndarray) -> SpinorValue:
-    """Evaluate U_k(x, y) = sqrt(lam/(1+gamma^2)) (i, -gamma) e^{-lam x + i k y}; broadcasts."""
+    """Evaluate U_k(x, y) = sqrt(lam/(1+gamma^2)) (i, -gamma) e^{-lam x + i k y}; broadcasts.
+
+    The direction (i, -gamma)/sqrt(1+gamma^2) is (i a, -b)/sqrt(a^2+b^2) in the
+    homogeneous coordinates of params._homogeneous; a >= 0 keeps its phase,
+    and gamma = inf gives (0, -1).
+    """
     x, y, shape = _points(x, y)
     plane = np.exp(-mode.lam * x + 1j * mode.k * y)
-    if p.gamma.is_infinite:
-        # direction limit (0, -1) of (i, -gamma)/sqrt(1+gamma^2)
-        return _spinor(shape, np.zeros_like(plane), -math.sqrt(mode.lam) * plane)
-    g = p.gamma.value
-    amp = math.sqrt(mode.lam / (1.0 + g * g))
-    return _spinor(shape, 1j * amp * plane, -g * amp * plane)
+    a, b = _homogeneous(p.gamma)
+    amp = math.sqrt(mode.lam / (a * a + b * b))
+    return _spinor(shape, 1j * a * amp * plane, -b * amp * plane)
 
 
 def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
@@ -194,16 +189,17 @@ def eval_defect_grid(mode: DefectMode, xs: np.ndarray, ys: np.ndarray) -> np.nda
 
 
 def edge_conductivity(p: ModelParams) -> int:
-    """Quantized in-gap edge conductivity in units of e^2/h: sgn(m) if m*gamma > 0, else 0."""
-    if p.m == 0.0 or p.gamma.is_infinite or p.gamma.value == 0.0:
-        return 0
-    if p.m * p.gamma.value > 0:
+    """Quantized in-gap edge conductivity in units of e^2/h: sgn(m) if gap_crossing, else 0."""
+    if gap_crossing(p):
         return 1 if p.m > 0 else -1
     return 0
 
 
 def gap_crossing(p: ModelParams) -> bool:
-    """True iff part of the edge dispersion lies inside the bulk spectral gap."""
-    if p.m == 0.0 or p.gamma.is_infinite:
-        return False
-    return p.m * p.gamma.value > 0
+    """True iff part of the edge dispersion lies inside the bulk spectral gap: m*gamma > 0.
+
+    In the homogeneous coordinates of params._homogeneous that is a > 0 and m b > 0;
+    gamma = inf (a = 0) has the flat band E = -m on the gap edge.
+    """
+    a, b = _homogeneous(p.gamma)
+    return a > 0.0 and p.m * b > 0

@@ -49,8 +49,9 @@ def test_spectrum_infinite_gamma(capsys):
 
 @pytest.mark.parametrize("g", ["1e200", "-1e200"])
 def test_spectrum_huge_gamma_rows_match_infinite_gamma(capsys, g):
-    # E and lambda are written in 1/gamma where gamma^2 overflows.  The grid
-    # skips k = 0, where lam = 2m/gamma is a genuine 2e-200 at gamma = 1e200
+    # E and lambda are written in (a, b) = (1/|gamma|, sgn gamma) where gamma^2
+    # overflows.  The grid skips k = 0, where lam = 2m/gamma is a genuine 2e-200
+    # at gamma = 1e200
     argv = ["spectrum", "--m", "1", "--k-min", "-2", "--k-max", "2", "--points", "8"]
     _, out, _ = run_cli(capsys, [*argv, f"--gamma={g}"])
     _, ref, _ = run_cli(capsys, [*argv, "--gamma=inf"])

@@ -185,7 +185,8 @@ def test_singular_part_values():
 
 @pytest.mark.parametrize("g", [1e155, -1e200, 1.7e308])
 def test_singular_part_huge_gamma(g):
-    # written in h = 1/gamma: the gamma = inf limits, approached without overflow
+    # written in (a, b) = (1/|gamma|, sgn gamma): the gamma = inf limits, approached without
+    # overflow
     s = singular_part(ModelParams(1.0, as_gamma(g)))
     assert s.c_log_delta_prime == -1.0 / (2.0 * math.pi)
     assert s.c_inv_x2 == pytest.approx(-1.0 / (4.0 * math.pi * abs(g)), rel=1e-15)

@@ -155,7 +155,9 @@ def test_oracle_bulk_rejects_degenerate_parameters():
 def test_oracles_reject_x_outside_domain(x):
     p = ModelParams(1.0, as_gamma(2.0))
     for call in (lambda: oracle_edge_current(p, x), lambda: oracle_bulk_current(p, x),
-                 lambda: oracle_branch_cut_integral(1.0, x), lambda: delta_prime_sector_null(x, 0.1)):
+                 lambda: oracle_branch_cut_integral(1.0, x),
+                 lambda: delta_prime_sector_null(x, 0.1),
+                 lambda: closed_form_edge_j2(p, x), lambda: closed_form_bulk_j2(p, x)):
         with pytest.raises(OutOfDomain):
             call()
 
@@ -169,6 +171,7 @@ def test_branch_cut_rays_disagree_where_the_value_is_below_roundoff():
 
 @pytest.mark.parametrize("g", [1e200, -1e200])
 def test_edge_oracle_at_huge_gamma_is_finite(g):
-    # v_edge and |dk/du| are written in 1/gamma: the current tends to its gamma = inf value 0
+    # v_edge and |dk/du| are written in (a, b) = (1/|gamma|, sgn gamma): the current tends
+    # to its gamma = inf value 0
     val = oracle_edge_current(ModelParams(1.0, as_gamma(g)), 1.0)
     assert math.isfinite(val) and abs(val) < 1e-199

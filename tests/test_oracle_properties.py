@@ -2,7 +2,7 @@
 
 The closed forms are evaluated at 50 digits with mpmath, so each bound below
 is the oracle's own accuracy: m in {0} u [0.01, 2], x in [0.05, 5], gamma
-across the projective line down to 1e-3 from +-1.
+across the projective line, |gamma| from 1e-300 to 1e300 and down to 1e-3 from +-1.
 """
 
 import math
@@ -11,19 +11,20 @@ import pytest
 
 pytest.importorskip("hypothesis")
 mp = pytest.importorskip("mpmath")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma,  # noqa: E402
+from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma, closed_form_bulk_j2,  # noqa: E402
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current)
 
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 mass = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
 distance = st.floats(0.05, 5.0)
-# magnitude in [1e-3, 1e3], plus gammas between 1e-3 and 1e-2 from +-1
+# magnitude in [1e-300, 1e300], where gamma^2 under- and overflows, plus gammas between
+# 1e-3 and 1e-2 from +-1
 finite_gamma = st.one_of(
-    st.builds(lambda s, t: s * 10.0 ** t, st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0)),
+    st.builds(lambda s, t: s * 10.0 ** t, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)),
     st.builds(lambda s, d: s * (1.0 + d), st.sampled_from([1.0, -1.0]),
               st.one_of(st.floats(1e-3, 1e-2), st.floats(-1e-2, -1e-3))),
 ).filter(lambda g: abs(abs(g) - 1.0) >= 1e-3)
@@ -59,10 +60,15 @@ def test_edge_oracle_matches_closed_form(m, g, x):
 
 @fixed_examples
 @given(mass, finite_gamma, distance)
+@example(1.0, 1e154, 0.7)
+@example(1.0, 1e200, 0.7)
+@example(0.0, -1e200, 0.7)
 def test_bulk_oracle_matches_closed_form(m, g, x):
+    p = ModelParams(m, as_gamma(g))
     with mp.workdps(50):
         ref = bulk_reference(m, g, x)
-        assert abs(oracle_bulk_current(ModelParams(m, as_gamma(g)), x) - ref) <= 1e-8 * abs(ref)
+        assert abs(oracle_bulk_current(p, x) - ref) <= 1e-8 * abs(ref)
+        assert abs(closed_form_bulk_j2(p, x).smooth - ref) <= 1e-8 * abs(ref)
 
 
 @fixed_examples

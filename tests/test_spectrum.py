@@ -122,7 +122,8 @@ def test_edge_mode_boundary_condition(rng):
 
 def test_edge_mode_transverse_norm_is_half():
     # int_0^inf |U_k(x, y)|^2 dx = 1/2 regardless of (m, gamma, k)
-    for m, g, k in [(1.0, 2.0, 0.3), (0.5, -3.0, 2.0), (1.0, 0.5, -0.2)]:
+    for m, g, k in [(1.0, 2.0, 0.3), (0.5, -3.0, 2.0), (1.0, 0.5, -0.2),
+                    (1.0, 1e200, 0.3), (1.0, -1e200, 0.3), (1.0, "inf", 0.3)]:
         p = ModelParams(m, as_gamma(g))
         mode = edge_mode_at_k(p, k)
         assert mode is not None
