@@ -5,7 +5,7 @@ from importlib import import_module
 # Submodule -> its exported names, loaded on first use (PEP 562) so that `import edgecurrents`
 # imports no numpy; uncached, so a name rebound in its submodule is what the package returns.
 _EXPORTS = {
-    "currents": """BulkClosedForm CurrentDecomposition PartialFractionData SingularPart
+    "currents": """CurrentDecomposition PartialFractionData SingularPart
         bulk_integrand_j2 closed_form_bulk_j2 closed_form_edge_j2 edge_integrand_j2 heaviside k_of_v
         j1_identically_zero_check partial_fractions singular_part total_decomposition v_of_k""",
     "errors": """BoostUndefined CptInvariantBoundary DegeneratePair EdgeCurrentsError GridTooSmall
@@ -17,9 +17,8 @@ _EXPORTS = {
         oracle_bulk_current oracle_edge_current oracle_p3_p4_cancellations""",
     "params": """GAMMA_INFINITY BoundaryCharacter ModelParams ProjectiveReal as_gamma boost
         boundary_character cpt_dual edge_velocity halfplane_dual reflection_dual""",
-    "spectrum": """BulkMode DefectMode EdgeMode SpinorValue bulk_mode defect_mode edge_conductivity
-        edge_mode_at_k eval_bulk eval_bulk_grid eval_defect eval_defect_grid eval_edge
-        eval_edge_grid gap_crossing""",
+    "spectrum": """BulkMode DefectMode EdgeMode bulk_mode defect_mode edge_conductivity
+        edge_mode_at_k eval_bulk eval_defect eval_edge gap_crossing""",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -77,12 +77,12 @@ def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
     evaluated, the edge mode at k whenever it exists.
     """
     for l, k, x, y in samples:
-        u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, y).as_array()
+        u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, y)
         if abs(2.0 * np.real(np.conj(u[0]) * u[1])) > 1e-12:
             return False
         mode = edge_mode_at_k(p, k)
         if mode is not None:
-            w = eval_edge(mode, p, x, y).as_array()
+            w = eval_edge(mode, p, x, y)
             if abs(2.0 * np.real(np.conj(w[0]) * w[1])) > 1e-12:
                 return False
     return True
@@ -197,18 +197,6 @@ class SingularPart:
     c_delta_prime: float
     c_inv_x2: float
 
-    def neg(self) -> "SingularPart":
-        return SingularPart(-self.c_log_delta_prime, -self.c_delta_prime, -self.c_inv_x2)
-
-
-@dataclass(frozen=True)
-class BulkClosedForm:
-    """Smooth x > 0 value of j^2_bulk plus its two delta'(x) coefficients."""
-
-    smooth: float | np.ndarray
-    c_log_delta_prime: float
-    c_delta_prime: float
-
 
 def _closed_form_domain(p: ModelParams, x: float | np.ndarray) -> np.ndarray:
     """x as a float array; rejects any x outside (0, inf), nan included, and m < 0."""
@@ -221,24 +209,22 @@ def _closed_form_domain(p: ModelParams, x: float | np.ndarray) -> np.ndarray:
     return x
 
 
-def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> BulkClosedForm:
-    """Closed-form bulk current at x > 0 for m >= 0; x broadcasts.
+def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form smooth bulk current at x > 0 for m >= 0; x broadcasts.
 
-    smooth = [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx}
-             - [g/(pi (g^2-1))] (1/(2x^2)) Theta(g^2-1),
-    with the two delta' coefficients of singular_part.  Written in the
+    [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx} - [g/(pi (g^2-1))] (1/(2x^2)) Theta(g^2-1);
+    its delta' coefficients are those of singular_part.  Written in the
     homogeneous coordinates (a, b) of params._homogeneous, g/(g^2-1) =
-    ab/(b^2-a^2), so the smooth part is 0 at gamma = inf and stays finite
-    where g^2 would overflow.
+    ab/(b^2-a^2), so it is 0 at gamma = inf and stays finite where g^2 would
+    overflow.
     """
     x = _closed_form_domain(p, x)
-    s = singular_part(p)
+    _reject_cpt_invariant(p)
     a, b = _homogeneous(p.gamma)
     c = a * b / (2.0 * math.pi * (b * b - a * a))
     smooth = c * (1.0 / (2.0 * x * x) + p.m / x) * np.exp(-2.0 * p.m * x)
     smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * heaviside(b * b - a * a)
-    return BulkClosedForm(smooth=_as_output(smooth), c_log_delta_prime=s.c_log_delta_prime,
-                          c_delta_prime=s.c_delta_prime)
+    return _as_output(smooth)
 
 
 def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
@@ -275,17 +261,27 @@ def singular_part(p: ModelParams) -> SingularPart:
 
 @dataclass(frozen=True)
 class CurrentDecomposition:
-    """<j^2(x)> split into singular coefficients and smooth profile functions.
+    """<j^2(x)> split into singular coefficients and smooth profiles.
 
     regular(x) = bulk_smooth(x) + edge_smooth(x) - c_inv_x2/x^2 is finite on
     (0, inf); for gamma^2 > 1 the algebraic 1/x^2 tails of the two smooth
-    parts cancel in their sum, which then decays exponentially.
+    parts cancel in their sum, which then decays exponentially.  At m < 0
+    each profile is minus the closed form at reflection_dual(params).
     """
 
     params: ModelParams
     singular: SingularPart
-    bulk_smooth: Callable[[float], float]
-    edge_smooth: Callable[[float], float]
+
+    def _smooth(self, closed_form, x):
+        if self.params.m < 0:
+            return -closed_form(reflection_dual(self.params), x)
+        return closed_form(self.params, x)
+
+    def bulk_smooth(self, x):
+        return self._smooth(closed_form_bulk_j2, x)
+
+    def edge_smooth(self, x):
+        return self._smooth(closed_form_edge_j2, x)
 
     def total_smooth(self, x):
         return self.bulk_smooth(x) + self.edge_smooth(x)
@@ -298,14 +294,7 @@ class CurrentDecomposition:
 def total_decomposition(p: ModelParams) -> CurrentDecomposition:
     """Assemble the full decomposition of <j^2>; m < 0 via reflection duality."""
     _reject_cpt_invariant(p)
-    if p.m < 0:
-        dual = total_decomposition(reflection_dual(p))
-        return CurrentDecomposition(
-            params=p,
-            singular=dual.singular.neg(),
-            bulk_smooth=lambda x, f=dual.bulk_smooth: -f(x),
-            edge_smooth=lambda x, f=dual.edge_smooth: -f(x),
-        )
-    return CurrentDecomposition(params=p, singular=singular_part(p),
-                                bulk_smooth=lambda x: closed_form_bulk_j2(p, x).smooth,
-                                edge_smooth=lambda x: closed_form_edge_j2(p, x))
+    if p.m < 0:  # j^2 flips sign under reflection_dual
+        dual = _singular_coefficients(*_homogeneous(reflection_dual(p).gamma))
+        return CurrentDecomposition(p, SingularPart(*(-c for c in dual)))
+    return CurrentDecomposition(p, singular_part(p))

@@ -50,12 +50,12 @@ def sample_on_grid(fn, x0: float, y0: float, nx: int, ny: int, h: float) -> np.n
     """Tabulate a spinor-valued function on a uniform (nx, ny) grid.
 
     ``fn(x, y)`` is called once, on the broadcast mesh x of shape (nx, 1) and
-    y of shape (1, ny), and returns a SpinorValue of arrays.
+    y of shape (1, ny), and returns the spinor array of shape (nx, ny, 2).
     """
     xs = x0 + h * np.arange(nx)
     ys = y0 + h * np.arange(ny)
     grid = np.empty((nx, ny, 2), dtype=complex)
-    grid[...] = fn(xs[:, None], ys[None, :]).as_array()
+    grid[...] = fn(xs[:, None], ys[None, :])
     return grid
 
 

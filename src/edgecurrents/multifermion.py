@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from .errors import CptInvariantBoundary, DegeneratePair
 from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio,
-                     _homogeneous, _singular_coefficients, as_gamma, boost, boundary_character)
+                     _homogeneous, _is_unit, _singular_coefficients, as_gamma, boost,
+                     boundary_character)
 
 
 @dataclass(frozen=True)
@@ -28,9 +29,8 @@ class FermionSystem:
 
     def __post_init__(self) -> None:
         coerced = tuple(as_gamma(g) for g in self.gammas)
-        for g in coerced:
-            if not g.is_infinite and abs(g.value) == 1.0:
-                raise CptInvariantBoundary("residuals are undefined at gamma = +-1")
+        if any(map(_is_unit, coerced)):
+            raise CptInvariantBoundary("residuals are undefined at gamma = +-1")
         object.__setattr__(self, "gammas", coerced)
 
     @property
@@ -114,7 +114,7 @@ def rapidity_equivalence_check(sys: FermionSystem) -> bool:
 def conjugate_pair(gamma: GammaLike) -> FermionSystem:
     """The charge-conjugate pair {gamma, -1/gamma}; all three residuals vanish."""
     g = as_gamma(gamma)
-    if g.is_infinite or g.value == 0.0 or abs(g.value) == 1.0:
+    if g.is_infinite or g.value == 0.0 or _is_unit(g):
         raise DegeneratePair(f"gamma={g} does not give a nondegenerate pair")
     return FermionSystem((g, g.inv().neg()))
 
@@ -227,7 +227,7 @@ def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | Non
     keys = []
     for units in _unit_sums(-rep.r_plus, -rep.r_minus, n - len(fixed), rep.scale):
         free = [_gamma_from_ratio(eta * z) for eta, z in units]
-        if any(not g.is_infinite and abs(g.value) == 1.0 for g in free):
+        if any(map(_is_unit, free)):
             continue
         if not residuals(FermionSystem(pinned.gammas + tuple(free))).cancels():
             continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,8 +130,8 @@ class P3P4Report:
     symmetric_residual: float
     antiderivative_error: float
     branch_limit_error: float
-    symmetric_ok: bool = field(default=False)
-    antiderivative_ok: bool = field(default=False)
+    symmetric_ok: bool
+    antiderivative_ok: bool
 
 
 def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:

@@ -88,7 +88,7 @@ class ModelParams:
     @property
     def is_cpt_invariant_bc(self) -> bool:
         """True exactly for the limiting boundary conditions gamma = +-1."""
-        return not self.gamma.is_infinite and abs(self.gamma.value) == 1.0
+        return _is_unit(self.gamma)
 
     @property
     def gap(self) -> tuple[float, float]:
@@ -111,6 +111,11 @@ class BoundaryCharacter:
     epsilon: int | None
 
 
+def _is_unit(gamma: ProjectiveReal) -> bool:
+    """True exactly at gamma = +-1."""
+    return not gamma.is_infinite and abs(gamma.value) == 1.0
+
+
 def _homogeneous(gamma: ProjectiveReal) -> tuple[float, float]:
     """Homogeneous coordinates (a, b) of gamma = b/a: the condition a psi_2 = i b psi_1.
 
@@ -128,14 +133,26 @@ def _homogeneous(gamma: ProjectiveReal) -> tuple[float, float]:
 def _singular_coefficients(a: float, b: float) -> tuple[float, float, float]:
     """(c_log, c_dipole, c_x2) at gamma = b/a, see _homogeneous.
 
+    c_dipole is [g/(pi(g^2-1))] theta with theta from _rapidity, and
     d = (b - a)(b + a) keeps full precision next to gamma = +-1.  c_x2 is
     0.0 - (...), which is +0.0 at gamma = inf, as at gamma = 0.
     """
     d = (b - a) * (b + a)
     c_log = -(1.0 / (2.0 * math.pi)) * (b * b + a * a) / d
-    c_dip = 0.0 if b == 0.0 else (a * b / (math.pi * d)) * math.log(abs((a + b) / (a - b)))
+    c_dip = 0.0 if b == 0.0 else (a * b / (math.pi * d)) * _rapidity(a, b)
     c_x2 = 0.0 - abs(a * b) / (4.0 * math.pi * d)
     return c_log, c_dip, c_x2
+
+
+def _rapidity(a: float, b: float) -> float:
+    """theta = ln|(a + b)/(a - b)| = ln|(1+gamma)/(1-gamma)| at gamma = b/a != +-1.
+
+    Where the ratio is near 1 the log is taken as 2 atanh(h), with h = gamma or
+    1/gamma (theta is invariant under gamma -> 1/gamma), which keeps full
+    precision; +0.0 at gamma = 0 and inf.
+    """
+    h = b / a if abs(b) < a else a / b
+    return 2.0 * math.atanh(h) if abs(h) < 0.5 else math.log(abs((a + b) / (a - b)))
 
 
 def edge_velocity(gamma: GammaLike) -> float:
@@ -148,10 +165,8 @@ def boundary_character(gamma: GammaLike) -> BoundaryCharacter:
     """Derive (v_edge, eta, theta, epsilon) from the boundary parameter.
 
     eta = sgn((1-gamma)/(1+gamma)) and eta*exp(theta) = (1+gamma)/(1-gamma), so
-    theta = ln|(1+gamma)/(1-gamma)| (tanh(theta) = v_edge); it is finite at every
-    gamma != +-1.  Where the ratio is near 1 the log is taken as 2 atanh(h), with
-    h = gamma or 1/gamma (theta is invariant under gamma -> 1/gamma), which keeps
-    full precision.  gamma = inf maps to (0, -1, 0, None).
+    theta = ln|(1+gamma)/(1-gamma)| (tanh(theta) = v_edge, see _rapidity); it is
+    finite at every gamma != +-1.  gamma = inf maps to (0, -1, 0, None).
     """
     g = as_gamma(gamma)
     v = edge_velocity(g)
@@ -160,8 +175,7 @@ def boundary_character(gamma: GammaLike) -> BoundaryCharacter:
         # maximal edge velocity: signature undefined, rapidity infinite
         return BoundaryCharacter(v_edge=v, eta=None, theta=None, epsilon=1 if v > 0 else -1)
     eta = 1 if abs(b) < a else -1
-    h = b / a if eta == 1 else a / b
-    theta = 2.0 * math.atanh(h) if abs(h) < 0.5 else math.log(abs((a + b) / (a - b)))
+    theta = _rapidity(a, b)
     epsilon = None if v == 0.0 else (1 if v > 0 else -1)
     return BoundaryCharacter(v_edge=v, eta=eta, theta=theta, epsilon=epsilon)
 
@@ -196,7 +210,7 @@ def boost(gamma: GammaLike, chi: float) -> ProjectiveReal:
         out = _gamma_from_eta_theta(ch.eta, ch.theta + chi)
     except ValueError:  # 1/tanh overflowed, or chi is nan
         out = None
-    if out is None or (not out.is_infinite and abs(out.value) == 1.0):
+    if out is None or _is_unit(out):
         raise BoostUndefined(f"boost by chi={chi!r} leaves the representable gammas != +-1")
     return out
 

@@ -15,19 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDeficiency, InvalidMomentum
-from .params import GammaLike, ModelParams, _homogeneous, as_gamma
-
-
-@dataclass(frozen=True)
-class SpinorValue:
-    """Two-component spinor value (psi_1, psi_2) at a point, or arrays over a mesh."""
-
-    c1: complex | np.ndarray
-    c2: complex | np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """Components stacked along a new last axis: shape (..., 2)."""
-        return np.stack(np.broadcast_arrays(self.c1, self.c2), axis=-1).astype(complex, copy=False)
+from .params import ModelParams, _homogeneous
 
 
 def _points(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -40,16 +28,9 @@ def _points(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return np.atleast_1d(x), np.atleast_1d(y), np.broadcast_shapes(x.shape, y.shape)
 
 
-def _spinor(shape: tuple[int, ...], c1: np.ndarray, c2: np.ndarray) -> SpinorValue:
-    """Wrap evaluated components; a single point gives Python complex values."""
-    if shape:
-        return SpinorValue(c1, c2)
-    return SpinorValue(complex(c1[0]), complex(c2[0]))
-
-
-def _mesh(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast 1-d xs and ys to the (len(xs), len(ys)) tensor grid."""
-    return np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]
+def _spinor(shape: tuple[int, ...], c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Evaluated components (psi_1, psi_2) stacked on a last axis: shape (*shape, 2)."""
+    return np.stack(np.broadcast_arrays(c1, c2), axis=-1).reshape(*shape, 2)
 
 
 @dataclass(frozen=True)
@@ -104,10 +85,12 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
 
 
 def eval_bulk(mode: BulkMode, p: ModelParams, x: float | np.ndarray,
-              y: float | np.ndarray) -> SpinorValue:
+              y: float | np.ndarray) -> np.ndarray:
     """Evaluate u_lk(x, y), including the sqrt((E-m)/4E) normalization factor.
 
-    x and y broadcast against each other.
+    x and y broadcast against each other; the spinor is the last axis of the
+    result, so a single point gives shape (2,) and xs[:, None], ys[None, :]
+    the tensor grid of shape (len(xs), len(ys), 2).
     """
     x, y, shape = _points(x, y)
     norm = math.sqrt((mode.E - p.m) / (4.0 * mode.E))
@@ -138,7 +121,7 @@ def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
 
 
 def eval_edge(mode: EdgeMode, p: ModelParams, x: float | np.ndarray,
-              y: float | np.ndarray) -> SpinorValue:
+              y: float | np.ndarray) -> np.ndarray:
     """Evaluate U_k(x, y) = sqrt(lam/(1+gamma^2)) (i, -gamma) e^{-lam x + i k y}; broadcasts.
 
     The direction (i, -gamma)/sqrt(1+gamma^2) is (i a, -b)/sqrt(a^2+b^2) in the
@@ -166,26 +149,11 @@ def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
     return DefectMode(mu=float(mu), k=float(k), sign=sign, lambda_def=lam, s=complex(s))
 
 
-def eval_defect(mode: DefectMode, x: float | np.ndarray, y: float | np.ndarray) -> SpinorValue:
+def eval_defect(mode: DefectMode, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
     """Evaluate the defect wave function e^{-lambda x + i k y} (1, s); broadcasts."""
     x, y, shape = _points(x, y)
     plane = np.exp(-mode.lambda_def * x + 1j * mode.k * y)
     return _spinor(shape, plane, mode.s * plane)
-
-
-def eval_bulk_grid(mode: BulkMode, p: ModelParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Tabulate u_lk on the tensor grid xs x ys; shape (len(xs), len(ys), 2)."""
-    return eval_bulk(mode, p, *_mesh(xs, ys)).as_array()
-
-
-def eval_edge_grid(mode: EdgeMode, p: ModelParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Tabulate U_k on the tensor grid xs x ys; shape (len(xs), len(ys), 2)."""
-    return eval_edge(mode, p, *_mesh(xs, ys)).as_array()
-
-
-def eval_defect_grid(mode: DefectMode, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Tabulate the defect wave function on the tensor grid xs x ys."""
-    return eval_defect(mode, *_mesh(xs, ys)).as_array()
 
 
 def edge_conductivity(p: ModelParams) -> int:

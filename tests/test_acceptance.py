@@ -12,8 +12,8 @@ import pytest
 
 from edgecurrents import (ModelParams, apply_dirac_fd, as_gamma, boost_invariance_scan,
                           bulk_mode, closed_form_bulk_j2, closed_form_edge_j2, conjugate_pair,
-                          defect_mode, edge_conductivity, edge_mode_at_k, eval_bulk_grid,
-                          eval_defect, eval_edge_grid, make_system, oracle_branch_cut_integral,
+                          defect_mode, edge_conductivity, edge_mode_at_k, eval_bulk,
+                          eval_defect, eval_edge, make_system, oracle_branch_cut_integral,
                           oracle_bulk_current, oracle_edge_current, partial_fractions,
                           rapidity_equivalence_check, residuals, richardson_residual,
                           singular_part, solve_system, total_decomposition)
@@ -57,7 +57,7 @@ def test_criterion_02_eigenfunction_residual_order():
         for h in hs:
             pts = round(side / h) + 1
             xs = h * np.arange(pts)
-            grid = eval_bulk_grid(mode, p, xs, xs)
+            grid = eval_bulk(mode, p, xs[:, None], xs[None, :])
             rs.append(grid_residual(grid, mode.E, p, h))
         order = float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
         ok = ok and order >= 1.9
@@ -76,7 +76,7 @@ def test_criterion_02_eigenfunction_residual_order():
         for h in hs:
             pts = round(side / h) + 1
             xs = h * np.arange(pts)
-            grid = eval_edge_grid(mode, p, xs, xs)
+            grid = eval_edge(mode, p, xs[:, None], xs[None, :])
             rs.append(grid_residual(grid, mode.E, p, h))
         order = float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
         ok = ok and order >= 1.9
@@ -152,12 +152,12 @@ def test_criterion_07_bulk_pipeline_vs_closed_form():
                  (0.0, 2.0)):
         p = ModelParams(m, as_gamma(g))
         for x in (*np.geomspace(0.05, 5.0, 11), 0.7, 1.0):  # geometric grid plus the old points
-            closed = closed_form_bulk_j2(p, float(x)).smooth
+            closed = closed_form_bulk_j2(p, float(x))
             numeric = oracle_bulk_current(p, float(x))
             ok = ok and abs(numeric - closed) / abs(closed) < 1e-8
     # the (1, -2) profile also equals minus its reflection-dual profile at m < 0
     dual_dec = total_decomposition(ModelParams(-1.0, as_gamma(0.5)))
-    closed = closed_form_bulk_j2(ModelParams(1.0, as_gamma(-2.0)), 1.0).smooth
+    closed = closed_form_bulk_j2(ModelParams(1.0, as_gamma(-2.0)), 1.0)
     ok = ok and abs(-dual_dec.bulk_smooth(1.0) - closed) < 1e-14 * abs(closed) + 1e-16
     verdict(7, "bulk closed form vs full numeric pipeline (1e-8)", ok)
 

@@ -115,6 +115,24 @@ def test_oracle_fail_exit_code(capsys):
     assert "FAIL" in out
 
 
+def test_oracle_zero_closed_form_fails(capsys, monkeypatch):
+    # a closed form that collapses to 0 is judged against the oracle, not passed on |oracle| < tol
+    import edgecurrents.currents
+    monkeypatch.setattr(edgecurrents.currents, "closed_form_edge_j2", lambda p, x: 0.0)
+    code, out, _ = run_cli(capsys, ["oracle", "--m", "2", "--gamma", "0.5", "--x", "5",
+                                    "--what", "edge"])
+    assert code == 1
+    assert out.splitlines()[1].endswith(",inf,FAIL")
+
+
+def test_oracle_subnormal_deviation_passes(capsys):
+    # t = 2mx/gamma ~ 745: the closed form is subnormal and the oracle underflows to 0
+    code, out, _ = run_cli(capsys, ["oracle", "--m", "0.5", "--gamma", "6.711409395973155e-05",
+                                    "--x", "0.05", "--what", "edge"])
+    assert code == 0
+    assert out.splitlines()[1].endswith(",0,PASS")
+
+
 def test_constraints_report(capsys):
     code, out, _ = run_cli(capsys, ["constraints", "--gammas", "2,-0.5"])
     assert code == 0

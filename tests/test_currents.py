@@ -7,8 +7,8 @@ from edgecurrents import (GAMMA_INFINITY, CptInvariantBoundary, ModelParams, NoE
                           OutOfDomain, as_gamma, bulk_integrand_j2, bulk_mode,
                           closed_form_bulk_j2, closed_form_edge_j2, edge_integrand_j2,
                           edge_mode_at_k, eval_bulk, eval_edge, heaviside,
-                          j1_identically_zero_check, k_of_v, partial_fractions, singular_part,
-                          total_decomposition, v_of_k)
+                          j1_identically_zero_check, k_of_v, partial_fractions,
+                          reflection_dual, singular_part, total_decomposition, v_of_k)
 from conftest import random_gamma
 
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
@@ -32,13 +32,13 @@ def test_bulk_integrand_matches_spinor_bilinear(rng):
         l = float(rng.uniform(0.3, 2.0))
         k = float(rng.uniform(-2, 2))
         x = float(rng.uniform(0.05, 2.0))
-        u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, 0.0).as_array()
+        u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, 0.0)
         assert bulk_integrand_j2(p, l, k, x) == pytest.approx(spinor_j2(u), abs=1e-13)
 
 
 def test_bulk_integrand_infinite_gamma():
     p = ModelParams(1.0, GAMMA_INFINITY)
-    u = eval_bulk(bulk_mode(p, 1.2, 0.7, "negative"), p, 0.4, 0.0).as_array()
+    u = eval_bulk(bulk_mode(p, 1.2, 0.7, "negative"), p, 0.4, 0.0)
     assert bulk_integrand_j2(p, 1.2, 0.7, 0.4) == pytest.approx(spinor_j2(u), abs=1e-13)
 
 
@@ -50,7 +50,7 @@ def test_edge_integrand_matches_spinor_bilinear(rng):
         if mode is None:
             continue
         x = float(rng.uniform(0.05, 1.0))
-        w = eval_edge(mode, p, x, 0.0).as_array()
+        w = eval_edge(mode, p, x, 0.0)
         assert edge_integrand_j2(p, k, x) == pytest.approx(spinor_j2(w), abs=1e-13)
 
 
@@ -73,6 +73,8 @@ def test_cpt_invariant_boundary_rejected():
         bulk_integrand_j2(p, 1.0, 0.5, 0.3)
     with pytest.raises(CptInvariantBoundary):
         singular_part(p)
+    with pytest.raises(CptInvariantBoundary):
+        closed_form_bulk_j2(p, 0.5)
     with pytest.raises(CptInvariantBoundary):
         total_decomposition(p)
 
@@ -154,10 +156,10 @@ def test_closed_form_domain_errors():
 def test_closed_forms_accept_arrays():
     p = ModelParams(1.0, as_gamma(2.0))
     xs = np.array([[0.3, 0.8], [2.0, 4.0]])
-    bulk = closed_form_bulk_j2(p, xs).smooth
+    bulk = closed_form_bulk_j2(p, xs)
     edge = closed_form_edge_j2(p, xs)
     assert bulk.shape == edge.shape == (2, 2)
-    assert bulk[1, 0] == closed_form_bulk_j2(p, 2.0).smooth
+    assert bulk[1, 0] == closed_form_bulk_j2(p, 2.0)
     assert edge[0, 1] == closed_form_edge_j2(p, 0.8)
     bad = np.array([0.5, 1.0, 0.0])
     with pytest.raises(OutOfDomain):
@@ -181,6 +183,8 @@ def test_singular_part_values():
     assert si.c_log_delta_prime == pytest.approx(-1.0 / (2.0 * math.pi))
     assert si.c_delta_prime == 0.0
     assert si.c_inv_x2 == 0.0
+    for c in (si.c_delta_prime, singular_part(ModelParams(1.0, as_gamma(0.0))).c_delta_prime):
+        assert math.copysign(1.0, c) == 1.0  # +0.0 at gamma = inf and 0
 
 
 @pytest.mark.parametrize("g", [1e155, -1e200, 1.7e308])
@@ -201,10 +205,10 @@ def test_singular_part_mass_independent(rng):
 
 
 def test_bulk_closed_form_infinite_gamma():
-    cf = closed_form_bulk_j2(ModelParams(1.0, GAMMA_INFINITY), 0.5)
-    assert cf.smooth == 0.0
-    assert cf.c_log_delta_prime == pytest.approx(-1.0 / (2.0 * math.pi))
-    assert cf.c_delta_prime == 0.0
+    p = ModelParams(1.0, GAMMA_INFINITY)
+    assert closed_form_bulk_j2(p, 0.5) == 0.0
+    assert singular_part(p).c_log_delta_prime == pytest.approx(-1.0 / (2.0 * math.pi))
+    assert singular_part(p).c_delta_prime == 0.0
 
 
 @pytest.mark.parametrize("m", [1.0, 0.0, -1.0])
@@ -214,7 +218,7 @@ def test_decomposition_consistency(m, g):
     dec = total_decomposition(p)
     x = 0.8
     if m >= 0:
-        assert dec.bulk_smooth(x) == closed_form_bulk_j2(p, x).smooth
+        assert dec.bulk_smooth(x) == closed_form_bulk_j2(p, x)
         assert dec.edge_smooth(x) == closed_form_edge_j2(p, x)
     assert dec.total_smooth(x) == dec.bulk_smooth(x) + dec.edge_smooth(x)
     assert dec.regular(x) == dec.total_smooth(x) - dec.singular.c_inv_x2 / (x * x)
@@ -226,10 +230,11 @@ def test_decomposition_consistency(m, g):
 
 def test_negative_mass_via_reflection():
     # j^2 at (-m, gamma) equals -j^2 at (m, -1/gamma)
-    dec_neg = total_decomposition(ModelParams(-1.0, as_gamma(0.5)))
+    p = ModelParams(-1.0, as_gamma(0.5))
+    dec_neg = total_decomposition(p)
     dec_pos = total_decomposition(ModelParams(1.0, as_gamma(-2.0)))
-    for x in (0.3, 1.0, 2.5):
-        assert dec_neg.bulk_smooth(x) == pytest.approx(-dec_pos.bulk_smooth(x))
-        assert dec_neg.edge_smooth(x) == pytest.approx(-dec_pos.edge_smooth(x))
-    assert dec_neg.singular.c_inv_x2 == pytest.approx(-dec_pos.singular.c_inv_x2)
-    assert dec_neg.singular.c_log_delta_prime == pytest.approx(-dec_pos.singular.c_log_delta_prime)
+    for x in (0.3, 1.0, 2.5, np.geomspace(0.05, 5.0, 9)):
+        assert np.array_equal(dec_neg.bulk_smooth(x), -closed_form_bulk_j2(reflection_dual(p), x))
+        assert np.array_equal(dec_neg.edge_smooth(x), -closed_form_edge_j2(reflection_dual(p), x))
+    for name in ("c_log_delta_prime", "c_delta_prime", "c_inv_x2"):
+        assert getattr(dec_neg.singular, name) == -getattr(dec_pos.singular, name)

@@ -3,9 +3,11 @@
 The closed forms are evaluated at 50 digits with mpmath, so each bound below
 is the oracle's own accuracy: m in {0} u [0.01, 2], x in [0.05, 5], gamma
 across the projective line, |gamma| from 1e-300 to 1e300 and down to 1e-3 from +-1.
+The singular coefficients are checked the same way, at 60 digits.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -15,7 +17,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma, closed_form_bulk_j2,  # noqa: E402
-                          oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current)
+                          oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
+                          singular_part)
 
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -68,7 +71,7 @@ def test_bulk_oracle_matches_closed_form(m, g, x):
     with mp.workdps(50):
         ref = bulk_reference(m, g, x)
         assert abs(oracle_bulk_current(p, x) - ref) <= 1e-8 * abs(ref)
-        assert abs(closed_form_bulk_j2(p, x).smooth - ref) <= 1e-8 * abs(ref)
+        assert abs(closed_form_bulk_j2(p, x) - ref) <= 1e-8 * abs(ref)
 
 
 @fixed_examples
@@ -81,3 +84,24 @@ def test_branch_cut_oracle_matches_closed_form(m, x):
         assert abs(res.contour_value - ref) <= 1e-14 * ref
     assert res.error_estimate < 1e-6 * abs(res.abel_value)
     assert math.isfinite(res.rel_diff) and res.rel_diff < 1e-8
+
+
+@fixed_examples
+@given(finite_gamma)
+@example(1e16)
+@example(-1.3688492131505766e16)
+@example(1e-12)
+def test_singular_coefficients_match_mpmath(g):
+    # each coefficient to 1e-15 wherever its reference is in the normal float range;
+    # c_delta_prime = [g/(pi(g^2-1))] theta, theta = 2 atanh(g or 1/g)
+    s = singular_part(ModelParams(1.0, as_gamma(g)))
+    with mp.workdps(60):
+        G = mp.mpf(g)
+        d = (G - 1) * (G + 1)
+        refs = (-(G * G + 1) / (2 * mp.pi * d),
+                G / (mp.pi * d) * 2 * mp.atanh(G if abs(G) < 1 else 1 / G),
+                -abs(G) / (4 * mp.pi * d))
+        for c, ref in zip((s.c_log_delta_prime, s.c_delta_prime, s.c_inv_x2), refs):
+            if abs(ref) >= sys.float_info.min:
+                assert abs(c - ref) <= 1e-15 * abs(ref)
+

@@ -79,6 +79,7 @@ def test_boundary_character_special_points():
     assert (ch.v_edge, ch.eta, ch.theta, ch.epsilon) == (0.0, -1, 0.0, None)
     ch0 = boundary_character(0.0)
     assert (ch0.v_edge, ch0.eta, ch0.theta, ch0.epsilon) == (0.0, 1, 0.0, None)
+    assert math.copysign(1.0, ch.theta) == math.copysign(1.0, ch0.theta) == 1.0  # +0.0
     for g, eps in ((1.0, 1), (-1.0, -1)):
         ch1 = boundary_character(g)
         assert ch1.eta is None and ch1.theta is None

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from edgecurrents import (GAMMA_INFINITY, GridTooSmall, InvalidDeficiency, InvalidMomentum,
                           ModelParams, apply_dirac_fd, as_gamma, bulk_mode, defect_mode,
                           edge_conductivity, edge_mode_at_k, eigen_residual, eval_bulk,
-                          eval_bulk_grid, eval_defect, eval_defect_grid, eval_edge,
-                          eval_edge_grid, gap_crossing, richardson_residual, sample_on_grid)
+                          eval_defect, eval_edge, gap_crossing, richardson_residual,
+                          sample_on_grid)
 from conftest import random_gamma
 
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
@@ -16,8 +15,8 @@ SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
 
 def bc_residual(p, spinor):
     if p.gamma.is_infinite:
-        return abs(spinor.c1)
-    return abs(spinor.c2 - 1j * p.gamma.value * spinor.c1)
+        return abs(spinor[0])
+    return abs(spinor[1] - 1j * p.gamma.value * spinor[0])
 
 
 def test_bulk_mode_energy_branches():
@@ -51,7 +50,7 @@ def test_bulk_mode_boundary_condition_infinite_gamma():
     p = ModelParams(1.0, GAMMA_INFINITY)
     mode = bulk_mode(p, 1.2, 0.4)
     s = eval_bulk(mode, p, 0.0, 0.3)
-    assert abs(s.c1) < 1e-14
+    assert abs(s[0]) < 1e-14
 
 
 def test_bulk_grid_matches_pointwise(rng):
@@ -59,12 +58,13 @@ def test_bulk_grid_matches_pointwise(rng):
     mode = bulk_mode(p, 1.1, -0.6)
     xs = np.linspace(0.0, 1.0, 5)
     ys = np.linspace(-0.5, 0.5, 4)
-    grid = eval_bulk_grid(mode, p, xs, ys)
+    grid = eval_bulk(mode, p, xs[:, None], ys[None, :])
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             s = eval_bulk(mode, p, float(x), float(y))
-            assert grid[i, j, 0] == s.c1
-            assert grid[i, j, 1] == s.c2
+            assert s.shape == (2,)
+            assert grid[i, j, 0] == s[0]
+            assert grid[i, j, 1] == s[1]
 
 
 def test_edge_mode_generic_values():
@@ -107,7 +107,7 @@ def test_edge_mode_infinite_gamma():
     assert mode.lam == pytest.approx(2.0)
     assert edge_mode_at_k(p, -0.5) is None
     s = eval_edge(mode, p, 0.1, 0.0)
-    assert s.c1 == 0.0
+    assert s[0] == 0.0
 
 
 def test_edge_mode_boundary_condition(rng):
@@ -122,13 +122,14 @@ def test_edge_mode_boundary_condition(rng):
 
 def test_edge_mode_transverse_norm_is_half():
     # int_0^inf |U_k(x, y)|^2 dx = 1/2 regardless of (m, gamma, k)
+    quad = pytest.importorskip("scipy.integrate").quad
     for m, g, k in [(1.0, 2.0, 0.3), (0.5, -3.0, 2.0), (1.0, 0.5, -0.2),
                     (1.0, 1e200, 0.3), (1.0, -1e200, 0.3), (1.0, "inf", 0.3)]:
         p = ModelParams(m, as_gamma(g))
         mode = edge_mode_at_k(p, k)
         assert mode is not None
-        val, _ = quad(lambda x: abs(eval_edge(mode, p, x, 0.0).c1) ** 2
-                      + abs(eval_edge(mode, p, x, 0.0).c2) ** 2, 0.0, np.inf)
+        val, _ = quad(lambda x: float(np.sum(np.abs(eval_edge(mode, p, x, 0.0)) ** 2)),
+                      0.0, np.inf)
         assert val == pytest.approx(0.5, rel=1e-9)
 
 
@@ -137,12 +138,13 @@ def test_edge_grid_matches_pointwise():
     mode = edge_mode_at_k(p, 0.4)
     xs = np.linspace(0.0, 2.0, 4)
     ys = np.linspace(0.0, 1.0, 3)
-    grid = eval_edge_grid(mode, p, xs, ys)
+    grid = eval_edge(mode, p, xs[:, None], ys[None, :])
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             s = eval_edge(mode, p, float(x), float(y))
-            assert grid[i, j, 0] == s.c1
-            assert grid[i, j, 1] == s.c2
+            assert s.shape == (2,)
+            assert grid[i, j, 0] == s[0]
+            assert grid[i, j, 1] == s[1]
 
 
 def test_defect_mode_values():
@@ -172,31 +174,32 @@ def test_defect_grid_matches_pointwise():
     mode = defect_mode(p, 3.0, -0.2, -1)
     xs = np.linspace(0.0, 1.0, 4)
     ys = np.linspace(-0.3, 0.3, 3)
-    grid = eval_defect_grid(mode, xs, ys)
+    grid = eval_defect(mode, xs[:, None], ys[None, :])
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             s = eval_defect(mode, float(x), float(y))
-            assert grid[i, j, 0] == s.c1
-            assert grid[i, j, 1] == s.c2
+            assert s.shape == (2,)
+            assert grid[i, j, 0] == s[0]
+            assert grid[i, j, 1] == s[1]
 
 
 @pytest.mark.parametrize("g, k", [(2.0, 1.5), (-0.5, -2.0), ("inf", 1.5)])
 def test_broadcast_mesh_equals_grid(g, k):
+    # the tensor grid xs[:, None], ys[None, :] equals its rows, columns and points bit for bit
     p = ModelParams(0.8, as_gamma(g))
     xs = np.linspace(0.0, 2.0, 7)
     ys = np.linspace(-1.0, 1.0, 5)
-    X, Y = xs[:, None], ys[None, :]
     bulk = bulk_mode(p, 1.1, -0.6)
     edge = edge_mode_at_k(p, k)
     defect = defect_mode(p, 3.0, -0.2, -1)
-    pairs = [(eval_bulk(bulk, p, X, Y), eval_bulk_grid(bulk, p, xs, ys)),
-             (eval_edge(edge, p, X, Y), eval_edge_grid(edge, p, xs, ys)),
-             (eval_defect(defect, X, Y), eval_defect_grid(defect, xs, ys))]
-    for mesh, grid in pairs:
-        assert grid.shape == (7, 5, 2)
-        assert np.array_equal(mesh.c1, grid[..., 0])
-        assert np.array_equal(mesh.c2, grid[..., 1])
-    assert type(eval_edge(edge, p, 0.3, 0.1).c1) is complex
+    for fn in (lambda x, y: eval_bulk(bulk, p, x, y), lambda x, y: eval_edge(edge, p, x, y),
+               lambda x, y: eval_defect(defect, x, y)):
+        grid = fn(xs[:, None], ys[None, :])
+        assert grid.shape == (7, 5, 2) and grid.dtype == complex
+        assert np.array_equal(grid, np.array([[fn(x, y) for y in ys] for x in xs]))
+        assert np.array_equal(grid[3], fn(xs[3], ys))
+        assert np.array_equal(grid[:, 2], fn(xs, ys[2]))
+    assert eval_edge(edge, p, 0.3, 0.1).shape == (2,)
 
 
 def test_sample_on_grid_calls_fn_once():
@@ -210,8 +213,8 @@ def test_sample_on_grid_calls_fn_once():
 
     grid = sample_on_grid(fn, 0.1, -0.2, 6, 4, 0.05)
     assert calls == [((6, 1), (1, 4))]
-    assert np.array_equal(grid, eval_bulk_grid(mode, p, 0.1 + 0.05 * np.arange(6),
-                                               -0.2 + 0.05 * np.arange(4)))
+    xs, ys = 0.1 + 0.05 * np.arange(6), -0.2 + 0.05 * np.arange(4)
+    assert np.array_equal(grid, eval_bulk(mode, p, xs[:, None], ys[None, :]))
 
 
 def test_fd_rejects_small_grids():
