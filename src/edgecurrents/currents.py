@@ -1,10 +1,11 @@
 """Ground-state current density <j^2(x)> at Fermi energy E_F = -m.
 
-Implements the filled-sea calculation: pointwise bulk and edge integrands,
-the v-substitution v = exp(arcsinh(k/a)) with its partial-fraction expansion,
-the closed-form bulk and edge profiles, and the split of the total into
-distributional singular coefficients (delta'(x) ln Lambda, delta'(x), 1/x^2)
-plus a smooth regular remainder.
+Implements the filled-sea calculation: the current densities of a mode
+spinor, as the one bilinear j^mu = psi^dagger sigma^mu psi of the arrays that
+spectrum's eval_* return, the partial-fraction expansion of the bulk mode sum
+in v = exp(arcsinh(k/a)), the closed-form bulk and edge profiles, and the split
+of the total into distributional singular coefficients (delta'(x) ln Lambda,
+delta'(x), 1/x^2) plus a smooth regular remainder.
 
 Closed forms are derived for m >= 0; negative masses are routed through the
 reflection duality (m, gamma) -> (-m, -1/gamma), under which j^2 flips sign.
@@ -18,10 +19,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CptInvariantBoundary, InvalidMomentum, NoEdgeState, OutOfDomain
-from .params import (ModelParams, _homogeneous, _singular_coefficients, edge_velocity,
-                     reflection_dual)
+from .errors import CptInvariantBoundary, InvalidMomentum, OutOfDomain
+from .params import ModelParams, _homogeneous, _singular_coefficients, reflection_dual
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
+
+
+# 1 - (1+t) e^{-t} = e^{-t} t^2 sum_j t^j/(j+2)!: below t = 1/2 its terms j <= 18 reach full
+# precision, highest first for np.polyval's Horner scheme; above it expm1 loses at most 2 bits
+_EDGE_SERIES = [1.0 / math.factorial(j + 2) for j in range(18, -1, -1)]
 
 
 def _as_output(a):
@@ -30,44 +35,24 @@ def _as_output(a):
     return a if a.ndim else float(a)
 
 
-def heaviside(t: float | np.ndarray) -> float | np.ndarray:
-    """Step function with the documented midpoint convention Theta(0) = 1/2; broadcasts."""
-    return _as_output(np.heaviside(t, 0.5))
-
-
 def _reject_cpt_invariant(p: ModelParams) -> None:
     if p.is_cpt_invariant_bc:
         raise CptInvariantBoundary("current densities are not defined at gamma = +-1")
 
 
 # ---------------------------------------------------------------------------
-# pointwise integrands
+# current densities of mode spinors and the partial-fraction expansion
 
 
-def bulk_integrand_j2(p: ModelParams, l: float, k: float, x: float) -> float:
-    """j^2 of a single filled bulk mode: k/E - (1/E) Re((f/g) e^{-2ilx}).
+def _bilinears(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Current densities j^mu = psi^dagger sigma^mu psi of spinors on the last axis of u.
 
-    g = m - E + gamma (k - il), f = (k - il) g*, on the negative energy
-    branch; f/g is unchanged by scaling g to a (m - E) + b (k - il) in the
-    homogeneous coordinates of params._homogeneous.  Identical to
-    u^dagger sigma_2 u of the evaluated spinor.
+    u has the shape (*shape, 2) that eval_bulk, eval_edge and eval_defect
+    return; j0 = |u1|^2 + |u2|^2, j1 = 2 Re(u1* u2), j2 = 2 Im(u1* u2), each
+    of shape ``shape``.
     """
-    _reject_cpt_invariant(p)
-    if l <= 0:
-        raise InvalidMomentum(f"bulk modes need l > 0, got l={l}")
-    E = -math.sqrt(k * k + l * l + p.m * p.m)
-    a, b = _homogeneous(p.gamma)
-    g = a * (p.m - E) + b * (k - 1j * l)
-    ratio = (k - 1j * l) * np.conj(g) / g
-    return k / E - float(np.real(ratio * np.exp(-2j * l * x))) / E
-
-
-def edge_integrand_j2(p: ModelParams, k: float, x: float) -> float:
-    """j^2 of a single filled edge mode: v_edge lam e^{-2 lam x}, v_edge = 2 gamma/(1+gamma^2)."""
-    mode = edge_mode_at_k(p, k)
-    if mode is None:
-        raise NoEdgeState(f"no edge mode at k={k} for (m={p.m}, gamma={p.gamma})")
-    return edge_velocity(p.gamma) * mode.lam * math.exp(-2.0 * mode.lam * x)
+    cross = 2.0 * np.conj(u[..., 0]) * u[..., 1]
+    return (np.conj(u) * u).real.sum(axis=-1), cross.real, cross.imag
 
 
 def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
@@ -77,33 +62,12 @@ def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
     evaluated, the edge mode at k whenever it exists.
     """
     for l, k, x, y in samples:
-        u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, y)
-        if abs(2.0 * np.real(np.conj(u[0]) * u[1])) > 1e-12:
+        if abs(_bilinears(eval_bulk(bulk_mode(p, l, k, "negative"), p, x, y))[1]) > 1e-12:
             return False
         mode = edge_mode_at_k(p, k)
-        if mode is not None:
-            w = eval_edge(mode, p, x, y)
-            if abs(2.0 * np.real(np.conj(w[0]) * w[1])) > 1e-12:
-                return False
+        if mode is not None and abs(_bilinears(eval_edge(mode, p, x, y))[1]) > 1e-12:
+            return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# v-substitution and partial fractions
-
-
-def v_of_k(k: float, a: float) -> float:
-    """Substitution v = exp(arcsinh(k/a)) mapping k in R to v in (0, inf)."""
-    if a <= 0:
-        raise ValueError(f"scale a must be positive, got {a}")
-    return math.exp(math.asinh(k / a))
-
-
-def k_of_v(v: float, a: float) -> float:
-    """Inverse substitution k = a (v - 1/v)/2."""
-    if a <= 0:
-        raise ValueError(f"scale a must be positive, got {a}")
-    return a * (v - 1.0 / v) / 2.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +78,6 @@ class PartialFractionData:
     P4 = -il 4 gamma/(gamma^2-1) (v - v3)^-1 satisfy, pointwise off the pole,
     P1+P2+P3+P4 = (f/g)/v = -(f/g)(1/E)(dk/dv).  gamma enters through its
     homogeneous coordinates ``gamma_ab`` of params._homogeneous (not the scale a).
-    D1, D2 are the two quadratic denominators; D1 degenerates at gamma = inf,
-    D2 at gamma = 0.
     """
 
     m: float
@@ -123,7 +85,6 @@ class PartialFractionData:
     l: float
     a: float
     v3: complex
-    v4: complex
     p3_coeff: complex
     p4_coeff: complex
 
@@ -152,22 +113,6 @@ class PartialFractionData:
         ratio = (k - 1j * self.l) * np.conj(g) / g
         return ratio / v
 
-    def d1(self, v):
-        """D1 = (a/2)(1 + gamma)(v - v3)(v - v4)."""
-        ga, gb = self.gamma_ab
-        if ga == 0.0:
-            raise ValueError("D1 degenerates at gamma = inf")
-        v = np.asarray(v, dtype=float)
-        return self.a / 2.0 * (gb / ga + 1.0) * (v - self.v3) * (v - self.v4)
-
-    def d2(self, v):
-        """D2 = (a/2)(1 + 1/gamma)(v - v3)(v + v4), the conjugate of D1 at (-m, 1/gamma)."""
-        ga, gb = self.gamma_ab
-        if gb == 0.0:
-            raise ValueError("D2 degenerates at gamma = 0")
-        v = np.asarray(v, dtype=float)
-        return self.a / 2.0 * (ga / gb + 1.0) * (v - self.v3) * (v + self.v4)
-
 
 def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
     """Build the partial-fraction data of -(f/g) dk/E at transverse momentum l."""
@@ -179,7 +124,7 @@ def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
     ga, gb = _homogeneous(p.gamma)
     return PartialFractionData(
         m=m, gamma_ab=(ga, gb), l=l, a=a,
-        v3=complex((1j * l + m) / a * (gb - ga) / (gb + ga)), v4=complex((-1j * l + m) / a),
+        v3=complex((1j * l + m) / a * (gb - ga) / (gb + ga)),
         p3_coeff=complex(1j * l * (gb + ga) / (gb - ga)),
         p4_coeff=complex(-1j * l * 4.0 * ga * gb / (gb * gb - ga * ga)),
     )
@@ -223,7 +168,7 @@ def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
     a, b = _homogeneous(p.gamma)
     c = a * b / (2.0 * math.pi * (b * b - a * a))
     smooth = c * (1.0 / (2.0 * x * x) + p.m / x) * np.exp(-2.0 * p.m * x)
-    smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * heaviside(b * b - a * a)
+    smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * (1.0 if abs(b) > a else 0.0)
     return _as_output(smooth)
 
 
@@ -242,8 +187,11 @@ def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
     c = a * b / (math.pi * ((b - a) * (b + a)))
     if b > a:  # gamma > 1: the bracket 1 - (1+t) e^{-t} without its cancellation at small t
         t = 2.0 * p.m * x * a / b
-        return _as_output(c * (1.0 / (2.0 * x * x)) * (-np.expm1(-t) - t * np.exp(-t)))
-    out = c * (1.0 / (2.0 * x * x)) * heaviside(b * b - a * a)
+        s = np.minimum(t, 0.5)  # the discarded series branch stays finite at large t
+        bracket = np.where(t < 0.5, np.exp(-s) * s * s * np.polyval(_EDGE_SERIES, s),
+                           -np.expm1(-t) - t * np.exp(-t))
+        return _as_output(c * (1.0 / (2.0 * x * x)) * bracket)
+    out = c * (1.0 / (2.0 * x * x)) * (1.0 if abs(b) > a else 0.0)
     if b > 0:
         out -= c * (1.0 / (2.0 * x * x) + p.m * a / (b * x)) * np.exp(-2.0 * p.m * x * a / b)
     return _as_output(out)

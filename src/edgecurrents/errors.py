@@ -30,7 +30,7 @@ class GridTooSmall(EdgeCurrentsError):
 
 
 class OutOfDomain(EdgeCurrentsError, ValueError):
-    """Argument outside the domain of a closed form or an oracle."""
+    """Argument outside the domain of an operation."""
 
 
 class NonConvergent(EdgeCurrentsError):

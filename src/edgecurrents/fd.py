@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import GridTooSmall, OutOfDomain
 from .params import ModelParams
 
 
@@ -31,11 +31,11 @@ def apply_dirac_fd(field: np.ndarray, p: ModelParams, h: float) -> np.ndarray:
     """
     field = np.asarray(field, dtype=complex)
     if field.ndim != 3 or field.shape[2] != 2:
-        raise ValueError(f"expected a grid of shape (nx, ny, 2), got {field.shape}")
+        raise OutOfDomain(f"expected a grid of shape (nx, ny, 2), got {field.shape}")
     if field.shape[0] < 3 or field.shape[1] < 3:
         raise GridTooSmall(f"need at least 3 points per axis, got {field.shape[:2]}")
     if h <= 0:
-        raise ValueError(f"grid spacing must be positive, got h={h}")
+        raise OutOfDomain(f"grid spacing must be positive, got h={h}")
     dx = _diff(field, h, axis=0)
     dy = _diff(field, h, axis=1)
     out = np.empty_like(field)

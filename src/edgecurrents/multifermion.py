@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product, takewhile
 from typing import Iterable, Sequence
 
-from .errors import CptInvariantBoundary, DegeneratePair
+from .errors import CptInvariantBoundary, DegeneratePair, OutOfDomain
 from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio,
                      _homogeneous, _is_unit, _singular_coefficients, as_gamma, boost,
                      boundary_character)
@@ -217,11 +217,11 @@ def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | Non
     for every n = 3: one unit vector is never the sum of two.
     """
     if n < 2:
-        raise ValueError("need at least two species")
+        raise OutOfDomain("need at least two species")
     if not isinstance(fixed, dict):
         fixed = dict(enumerate(() if fixed is None else fixed))
     if len(fixed) >= n or not all(0 <= i < n for i in fixed):
-        raise ValueError("fixed gammas need indices below n and must leave one free")
+        raise OutOfDomain("fixed gammas need indices below n and must leave one free")
     pinned = FermionSystem(tuple(fixed[i] for i in sorted(fixed)))
     rep = residuals(pinned)
     keys = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import heaviside, partial_fractions
+from .currents import partial_fractions
 from .errors import CptInvariantBoundary, NonConvergent, OutOfDomain
 from .params import ModelParams, _homogeneous, edge_velocity
 
@@ -165,7 +165,7 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:
     exact = cmath.log(LAMBDA - pf.v3) - cmath.log(1.0 / LAMBDA - pf.v3)
     a, b = pf.gamma_ab
     log_const = (1j * math.atan2(l, p.m) + math.log(abs((b - a) / (b + a)))
-                 - 1j * math.pi * heaviside(b * b - a * a))
+                 - 1j * math.pi * (1.0 if abs(b) > a else 0.0))
     asymptotic = T - log_const
     return P3P4Report(
         symmetric_residual=sym_resid,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDeficiency, InvalidMomentum
+from .errors import InvalidDeficiency, InvalidMomentum, OutOfDomain
 from .params import ModelParams, _homogeneous
 
 
@@ -74,7 +74,7 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     if l <= 0:
         raise InvalidMomentum(f"bulk modes need l > 0, got l={l}")
     if branch not in ("positive", "negative"):
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
+        raise OutOfDomain(f"branch must be 'positive' or 'negative', got {branch!r}")
     E = math.sqrt(k * k + l * l + p.m * p.m)
     if branch == "negative":
         E = -E
@@ -143,7 +143,7 @@ def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
     if mu <= 0:
         raise InvalidDeficiency(f"deficiency parameter must be positive, got mu={mu}")
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise OutOfDomain(f"sign must be +1 or -1, got {sign}")
     lam = math.sqrt(mu * mu + k * k + p.m * p.m)
     s = 1j * (k + lam) / (p.m + sign * 1j * mu)
     return DefectMode(mu=float(mu), k=float(k), sign=sign, lambda_def=lam, s=complex(s))

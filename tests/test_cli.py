@@ -101,11 +101,20 @@ def test_oracle_edge_pass(capsys):
                                     "--what", "edge"])
     assert code == 0
     assert out.splitlines()[1].endswith("PASS")
-    # t = 2mx/gamma = 1e-6: the closed form's bracket 1 - (1+t) e^{-t} is taken with expm1
+    # t = 2mx/gamma = 1e-6: the closed form's bracket 1 - (1+t) e^{-t} is taken as its series
     code, out, _ = run_cli(capsys, ["oracle", "--m", "0.01", "--gamma", "1000", "--x", "0.05",
                                     "--what", "edge"])
     assert code == 0
     assert out.splitlines()[1].endswith("PASS")
+
+
+@pytest.mark.parametrize("gamma, x", [("1e10", "1"), ("1e16", "0.05")])
+def test_oracle_edge_tiny_t_passes(capsys, gamma, x):
+    # t = 2mx/gamma = 2e-10 and 1e-17, where the bracket 1 - (1+t) e^{-t} is ~t^2/2
+    code, out, _ = run_cli(capsys, ["oracle", "--m", "1", "--gamma", gamma, "--x", x,
+                                    "--what", "edge"])
+    assert code == 0
+    assert out.splitlines()[1].endswith(",PASS")
 
 
 def test_oracle_fail_exit_code(capsys):

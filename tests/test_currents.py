@@ -1,14 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from edgecurrents import (GAMMA_INFINITY, CptInvariantBoundary, ModelParams, NoEdgeState,
-                          OutOfDomain, as_gamma, bulk_integrand_j2, bulk_mode,
-                          closed_form_bulk_j2, closed_form_edge_j2, edge_integrand_j2,
-                          edge_mode_at_k, eval_bulk, eval_edge, heaviside,
-                          j1_identically_zero_check, k_of_v, partial_fractions,
-                          reflection_dual, singular_part, total_decomposition, v_of_k)
+from edgecurrents import (GAMMA_INFINITY, CptInvariantBoundary, ModelParams, OutOfDomain,
+                          as_gamma, bulk_mode, closed_form_bulk_j2, closed_form_edge_j2,
+                          edge_mode_at_k, edge_velocity, eval_bulk, eval_edge,
+                          j1_identically_zero_check, partial_fractions, reflection_dual,
+                          singular_part, total_decomposition)
+from edgecurrents.currents import _bilinears
+from edgecurrents.params import _homogeneous
 from conftest import random_gamma
 
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
@@ -18,46 +20,48 @@ def spinor_j2(u):
     return float(np.real(np.conj(u) @ SIGMA2 @ u))
 
 
-def test_heaviside_midpoint():
-    assert heaviside(1.0) == 1.0
-    assert heaviside(-1.0) == 0.0
-    assert heaviside(0.0) == 0.5
-    assert type(heaviside(2.0)) is float
-    assert np.array_equal(heaviside(np.array([1.0, -1.0, 0.0])), [1.0, 0.0, 0.5])
+def bulk_mode_j2(p, l, k, x):
+    # k/E - Re((f/g) e^{-2ilx})/E on the negative branch, f = (k - il) g*, with
+    # g = m - E + gamma (k - il) scaled to a (m - E) + b (k - il)
+    E = -math.sqrt(k * k + l * l + p.m * p.m)
+    a, b = _homogeneous(p.gamma)
+    g = a * (p.m - E) + b * (k - 1j * l)
+    return k / E - ((k - 1j * l) * np.conj(g) / g * np.exp(-2j * l * x)).real / E
+
+
+def check_bulk_bilinears(p, l, k, x):
+    u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, 0.0)
+    j0, _, j2 = _bilinears(u)
+    assert j0 == pytest.approx(float(np.real(np.conj(u) @ u)), abs=1e-13)
+    assert j2 == pytest.approx(spinor_j2(u), abs=1e-13)
+    assert j2 == pytest.approx(bulk_mode_j2(p, l, k, x), abs=1e-13)
 
 
 def test_bulk_integrand_matches_spinor_bilinear(rng):
+    # the bulk j2 integrand is _bilinears of eval_bulk
     for _ in range(30):
         p = ModelParams(float(rng.uniform(0.0, 2.0)), as_gamma(random_gamma(rng, hi=5.0)))
-        l = float(rng.uniform(0.3, 2.0))
-        k = float(rng.uniform(-2, 2))
-        x = float(rng.uniform(0.05, 2.0))
-        u = eval_bulk(bulk_mode(p, l, k, "negative"), p, x, 0.0)
-        assert bulk_integrand_j2(p, l, k, x) == pytest.approx(spinor_j2(u), abs=1e-13)
+        check_bulk_bilinears(p, float(rng.uniform(0.3, 2.0)), float(rng.uniform(-2, 2)),
+                             float(rng.uniform(0.05, 2.0)))
 
 
 def test_bulk_integrand_infinite_gamma():
-    p = ModelParams(1.0, GAMMA_INFINITY)
-    u = eval_bulk(bulk_mode(p, 1.2, 0.7, "negative"), p, 0.4, 0.0)
-    assert bulk_integrand_j2(p, 1.2, 0.7, 0.4) == pytest.approx(spinor_j2(u), abs=1e-13)
+    check_bulk_bilinears(ModelParams(1.0, GAMMA_INFINITY), 1.2, 0.7, 0.4)
 
 
-def test_edge_integrand_matches_spinor_bilinear(rng):
+def test_bilinears_of_edge_modes(rng):
     for _ in range(20):
         p = ModelParams(float(rng.uniform(0.1, 2.0)), as_gamma(random_gamma(rng, hi=5.0)))
-        k = float(rng.uniform(-3, 3))
-        mode = edge_mode_at_k(p, k)
+        mode = edge_mode_at_k(p, float(rng.uniform(-3, 3)))
         if mode is None:
             continue
         x = float(rng.uniform(0.05, 1.0))
         w = eval_edge(mode, p, x, 0.0)
-        assert edge_integrand_j2(p, k, x) == pytest.approx(spinor_j2(w), abs=1e-13)
-
-
-def test_edge_integrand_raises_without_state():
-    p = ModelParams(1.0, as_gamma(2.0))
-    with pytest.raises(NoEdgeState):
-        edge_integrand_j2(p, -2.0, 0.5)
+        j0, _, j2 = _bilinears(w)
+        decay = mode.lam * math.exp(-2.0 * mode.lam * x)
+        assert j0 == pytest.approx(decay, abs=1e-13)
+        assert j2 == pytest.approx(spinor_j2(w), abs=1e-13)
+        assert j2 == pytest.approx(edge_velocity(p.gamma) * decay, abs=1e-13)  # v_edge lam e^{-2 lam x}
 
 
 def test_j1_vanishes(rng):
@@ -70,24 +74,11 @@ def test_j1_vanishes(rng):
 def test_cpt_invariant_boundary_rejected():
     p = ModelParams(1.0, as_gamma(1.0))
     with pytest.raises(CptInvariantBoundary):
-        bulk_integrand_j2(p, 1.0, 0.5, 0.3)
-    with pytest.raises(CptInvariantBoundary):
         singular_part(p)
     with pytest.raises(CptInvariantBoundary):
         closed_form_bulk_j2(p, 0.5)
     with pytest.raises(CptInvariantBoundary):
         total_decomposition(p)
-
-
-def test_v_substitution_roundtrip(rng):
-    for _ in range(20):
-        a = float(rng.uniform(0.2, 3.0))
-        k = float(rng.uniform(-5, 5))
-        v = v_of_k(k, a)
-        assert v > 0
-        assert k_of_v(v, a) == pytest.approx(k, abs=1e-12)
-    with pytest.raises(ValueError):
-        v_of_k(1.0, 0.0)
 
 
 def test_partial_fraction_identity(rng):
@@ -107,40 +98,6 @@ def test_partial_fraction_identity_degenerate_gammas(rng):
         pf = partial_fractions(p, 1.3)
         for v in (0.2, 0.9, 1.7, 6.0):
             assert abs(complex(pf.total(v)) - complex(pf.reference(v))) < 1e-13
-
-
-def test_denominator_product_form(rng):
-    # (k^2 + l^2) (1/D1 + 1/D2) reproduces (f/g)/v away from degeneracies
-    for _ in range(20):
-        p = ModelParams(float(rng.uniform(0.1, 2.0)), as_gamma(random_gamma(rng, hi=5.0)))
-        l = float(rng.uniform(0.2, 2.0))
-        pf = partial_fractions(p, l)
-        v = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        k = k_of_v(v, pf.a)
-        lhs = (k * k + l * l) * (1.0 / pf.d1(v) + 1.0 / pf.d2(v))
-        rhs = complex(pf.reference(v))
-        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(rhs))
-
-
-def test_denominators_exchange_under_halfplane_dual(rng):
-    # D2(m, gamma; v) = conj(D1(-m, 1/gamma; v)) on the real v axis
-    for _ in range(20):
-        m = float(rng.uniform(0.1, 2.0))
-        g = random_gamma(rng, hi=5.0)
-        l = float(rng.uniform(0.2, 2.0))
-        v = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        pf = partial_fractions(ModelParams(m, as_gamma(g)), l)
-        pf_dual = partial_fractions(ModelParams(-m, as_gamma(1.0 / g)), l)
-        assert complex(pf.d2(v)) == pytest.approx(np.conj(pf_dual.d1(v)), rel=1e-12)
-
-
-def test_partial_fraction_degenerate_denominators():
-    pf0 = partial_fractions(ModelParams(1.0, as_gamma(0.0)), 1.0)
-    with pytest.raises(ValueError):
-        pf0.d2(1.0)
-    pfi = partial_fractions(ModelParams(1.0, GAMMA_INFINITY), 1.0)
-    with pytest.raises(ValueError):
-        pfi.d1(1.0)
 
 
 def test_closed_form_domain_errors():
@@ -172,6 +129,26 @@ def test_closed_form_edge_zero_cases():
     assert closed_form_edge_j2(ModelParams(1.0, as_gamma(-0.5)), 0.7) == 0.0
     assert closed_form_edge_j2(ModelParams(1.0, as_gamma(0.0)), 0.7) == 0.0
     assert closed_form_edge_j2(ModelParams(1.0, GAMMA_INFINITY), 0.7) == 0.0
+
+
+def test_closed_form_edge_small_t_matches_mpmath():
+    # gamma > 1, where 1 - (1+t) e^{-t}, t = 2mx/gamma, cancels to ~t^2/2: from t = 50 down to
+    # 1e-150 (gamma up to ~1e152), wherever the current is in the normal float range
+    mp = pytest.importorskip("mpmath")
+    checked = 0
+    for t in np.geomspace(1e-150, 50.0, 151):
+        for m, x in ((0.01, 5.0), (1.0, 0.05), (1.0, 0.7), (2.0, 5.0)):
+            g = 2.0 * m * x / t
+            if g < 1.001:
+                continue
+            got = closed_form_edge_j2(ModelParams(m, as_gamma(g)), x)
+            with mp.workdps(360):
+                G, T = mp.mpf(g), 2 * mp.mpf(m) * x / mp.mpf(g)
+                ref = G / (mp.pi * (G * G - 1)) / (2 * mp.mpf(x) ** 2) * (1 - (1 + T) * mp.exp(-T))
+                if ref >= sys.float_info.min:
+                    checked += 1
+                    assert abs(got - ref) <= 2e-15 * ref, (m, g, x)
+    assert checked > 300
 
 
 def test_singular_part_values():

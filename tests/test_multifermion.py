@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from edgecurrents import (CptInvariantBoundary, DegeneratePair, FermionSystem, as_gamma,
-                          boost_invariance_scan, conjugate_pair, make_system,
+from edgecurrents import (CptInvariantBoundary, DegeneratePair, FermionSystem, OutOfDomain,
+                          as_gamma, boost_invariance_scan, conjugate_pair, make_system,
                           rapidity_equivalence_check, residuals, solve_system)
 from conftest import random_gamma
 
@@ -172,11 +172,11 @@ def test_solve_system_family_on_lattice():
 
 
 def test_solve_system_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         solve_system(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         solve_system(2, [2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         solve_system(2, {2: 0.5})
     with pytest.raises(CptInvariantBoundary):
         solve_system(2, [1.0])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from edgecurrents import (GAMMA_INFINITY, GridTooSmall, InvalidDeficiency, InvalidMomentum,
-                          ModelParams, apply_dirac_fd, as_gamma, bulk_mode, defect_mode,
-                          edge_conductivity, edge_mode_at_k, eigen_residual, eval_bulk,
-                          eval_defect, eval_edge, gap_crossing, richardson_residual,
-                          sample_on_grid)
+                          ModelParams, OutOfDomain, apply_dirac_fd, as_gamma, bulk_mode,
+                          defect_mode, edge_conductivity, edge_mode_at_k, edge_velocity,
+                          eigen_residual, eval_bulk, eval_defect, eval_edge, gap_crossing,
+                          richardson_residual, sample_on_grid)
+from edgecurrents.currents import _bilinears
+from edgecurrents.oracle import quad
 from conftest import random_gamma
 
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
@@ -34,7 +36,7 @@ def test_bulk_mode_invalid_input():
         bulk_mode(p, 0.0, 0.5)
     with pytest.raises(InvalidMomentum):
         bulk_mode(p, -1.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         bulk_mode(p, 1.0, 0.5, branch="up")
 
 
@@ -120,17 +122,27 @@ def test_edge_mode_boundary_condition(rng):
         assert bc_residual(p, s) < 1e-12 * (1.0 + abs(p.gamma.value))
 
 
-def test_edge_mode_transverse_norm_is_half():
-    # int_0^inf |U_k(x, y)|^2 dx = 1/2 regardless of (m, gamma, k)
-    quad = pytest.importorskip("scipy.integrate").quad
+def transverse_integrals(which):
+    # int_0^inf j^which(x) dx of an edge mode, on 40 panels of width 1/lam (tail ~e^-80)
     for m, g, k in [(1.0, 2.0, 0.3), (0.5, -3.0, 2.0), (1.0, 0.5, -0.2),
                     (1.0, 1e200, 0.3), (1.0, -1e200, 0.3), (1.0, "inf", 0.3)]:
         p = ModelParams(m, as_gamma(g))
         mode = edge_mode_at_k(p, k)
         assert mode is not None
-        val, _ = quad(lambda x: float(np.sum(np.abs(eval_edge(mode, p, x, 0.0)) ** 2)),
-                      0.0, np.inf)
+        edges = np.linspace(0.0, 40.0 / mode.lam, 41)
+        yield p, quad(lambda x: _bilinears(eval_edge(mode, p, x, 0.0))[which], edges)
+
+
+def test_edge_mode_transverse_norm_is_half():
+    # int_0^inf j^0 dx = int_0^inf |U_k(x, y)|^2 dx = 1/2 regardless of (m, gamma, k)
+    for _, val in transverse_integrals(0):
         assert val == pytest.approx(0.5, rel=1e-9)
+
+
+def test_edge_mode_transverse_current_is_half_velocity():
+    # int_0^inf j^2 dx = gamma/(1+gamma^2) = v_edge/2 per edge mode, exactly 0 at gamma = inf
+    for p, val in transverse_integrals(2):
+        assert val == pytest.approx(edge_velocity(p.gamma) / 2.0, rel=1e-9, abs=0.0)
 
 
 def test_edge_grid_matches_pointwise():
@@ -154,7 +166,7 @@ def test_defect_mode_values():
     assert mode.s == pytest.approx(1j * (0.5 + mode.lambda_def) / (1.0 + 2.0j))
     with pytest.raises(InvalidDeficiency):
         defect_mode(p, 0.0, 0.5, +1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         defect_mode(p, 1.0, 0.5, 2)
 
 
@@ -221,9 +233,9 @@ def test_fd_rejects_small_grids():
     p = ModelParams(1.0, as_gamma(2.0))
     with pytest.raises(GridTooSmall):
         apply_dirac_fd(np.zeros((2, 5, 2)), p, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         apply_dirac_fd(np.zeros((5, 5, 3)), p, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         apply_dirac_fd(np.zeros((5, 5, 2)), p, -0.1)
 
 
