@@ -18,7 +18,7 @@ _EXPORTS = {
     "params": """GAMMA_INFINITY BoundaryCharacter ModelParams ProjectiveReal as_gamma boost
         boundary_character cpt_dual edge_velocity halfplane_dual reflection_dual""",
     "spectrum": """BulkMode DefectMode EdgeMode bulk_mode defect_mode edge_conductivity
-        edge_mode_at_k eval_bulk eval_defect eval_edge gap_crossing""",
+        edge_dispersion edge_mode_at_k eval_bulk eval_defect eval_edge gap_crossing""",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -65,7 +65,7 @@ def _write(path: str | None, text: str, stream=None) -> None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     import numpy as np
-    from .spectrum import edge_conductivity, edge_mode_at_k
+    from .spectrum import edge_conductivity, edge_dispersion
     p = ModelParams(args.m, args.gamma)
     ch = boundary_character(p.gamma)
     lines = [
@@ -75,12 +75,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         f"# sigma_edge={edge_conductivity(p)}",
         "k,E_edge,lambda,exists",
     ]
-    for k in np.linspace(args.k_min, args.k_max, args.points):
-        mode = edge_mode_at_k(p, float(k))
-        if mode is None:
-            lines.append(f"{_fmt(float(k))},nan,nan,false")
-        else:
-            lines.append(f"{_fmt(mode.k)},{_fmt(mode.E)},{_fmt(mode.lam)},true")
+    ks = np.linspace(args.k_min, args.k_max, args.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan at extreme k or m, as for floats
+        E, lam = edge_dispersion(p, ks)
+    # '%.17g' % v is _fmt(v): one format call per row
+    lines += ["%.17g,%.17g,%.17g,true" % (k, e, lk) if lk > 0.0 else "%.17g,nan,nan,false" % k
+              for k, e, lk in zip(ks.tolist(), E.tolist(), lam.tolist())]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -96,7 +96,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     cx2 = dec.singular.c_inv_x2 / (xs * xs)
     columns = (xs, b, e, b + e, b + e - cx2, cx2)
     lines = ["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2"]
-    lines += [",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns))]
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
+              for row in zip(*(c.tolist() for c in columns))]
     _write(args.out, "\n".join(lines) + "\n")
     sidecar = {
         "m": p.m,

@@ -102,19 +102,26 @@ def eval_bulk(mode: BulkMode, p: ModelParams, x: float | np.ndarray,
     return _spinor(shape, c1, c2)
 
 
-def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
-    """Edge mode at momentum k, or None when the decay rate is not positive.
+def edge_dispersion(p: ModelParams, k: float | np.ndarray
+                    ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Energy E and decay rate lam of the edge branch at momentum k (float or array).
 
     Generic gamma:  E = [2g/(1+g^2)] k + [(1-g^2)/(1+g^2)] m and
     lam = [(g^2-1)/(g^2+1)] k + [2g/(g^2+1)] m; at gamma = +-1 this is
     E = gamma*k, lam = gamma*m, and at gamma = inf E = -m, lam = k.  Written
-    in the homogeneous coordinates (a, b) of params._homogeneous.
+    in the homogeneous coordinates (a, b) of params._homogeneous.  An array k
+    gives arrays rounded exactly as the float formula is at each element; an
+    edge mode exists where lam > 0.
     """
-    k = float(k)
     a, b = _homogeneous(p.gamma)
     d, n = b * b - a * a, a * a + b * b
-    E = (2.0 * a * b * k - d * p.m) / n
-    lam = (d * k + 2.0 * a * b * p.m) / n
+    return (2.0 * a * b * k - d * p.m) / n, (d * k + 2.0 * a * b * p.m) / n
+
+
+def edge_mode_at_k(p: ModelParams, k: float) -> EdgeMode | None:
+    """Edge mode at momentum k, or None when lam of edge_dispersion is not positive."""
+    k = float(k)
+    E, lam = edge_dispersion(p, k)
     if not lam > 0.0:
         return None
     return EdgeMode(k=k, E=E, lam=lam)

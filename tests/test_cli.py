@@ -6,8 +6,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from edgecurrents import ModelParams, as_gamma, edge_mode_at_k, total_decomposition
 from edgecurrents.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +72,58 @@ def test_spectrum_unit_gamma_special_rule(capsys):
     assert code == 0
     assert "# theta=infinite" in out
     assert "1,1,1,true" in out
+
+
+def reference_spectrum_rows(m, g, k_min, k_max, points):
+    """The table rows built per point: one edge_mode_at_k and one format() per value."""
+    p = ModelParams(m, as_gamma(g))
+    rows = []
+    for k in np.linspace(k_min, k_max, points):
+        mode = edge_mode_at_k(p, float(k))
+        if mode is None:
+            rows.append(f"{format(float(k), '.17g')},nan,nan,false")
+        else:
+            rows.append(",".join(format(v, ".17g") for v in (mode.k, mode.E, mode.lam)) + ",true")
+    return rows
+
+
+TABLE_CASES = [(m, g) for m in (1.0, 0.0, -1.0)
+               for g in ("2", "0.5", "-0.5", "-3", "0", "inf", "1e16", "1e155", "-1e200")]
+
+
+@pytest.mark.parametrize("m, g", TABLE_CASES + [(1.0, "1"), (1.0, "-1"), (-1.0, "1"), (-1.0, "-1")])
+def test_spectrum_rows_match_per_point_reference(capsys, m, g):
+    code, out, err = run_cli(capsys, ["spectrum", f"--m={m!r}", f"--gamma={g}", "--points", "41"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5:] == reference_spectrum_rows(m, g, -2.0, 2.0, 41)
+
+
+@pytest.mark.parametrize("argv, m, g, k_range", [
+    (["--m=1", "--gamma=2", "--k-min=-0.0", "--k-max=0", "--points=1"], 1.0, "2", (-0.0, 0.0, 1)),
+    # |k| and m near the float limit: inf and nan rows, without numpy's RuntimeWarnings
+    (["--m=1", "--gamma=1e16", "--k-min=-1e300", "--k-max=1e300", "--points=7"],
+     1.0, "1e16", (-1e300, 1e300, 7)),
+    (["--m=1e300", "--gamma=1e16", "--k-min=-1e300", "--k-max=1e300", "--points=7"],
+     1e300, "1e16", (-1e300, 1e300, 7)),
+])
+def test_spectrum_corner_rows_are_quiet_and_match_reference(capsys, argv, m, g, k_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["spectrum", *argv])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5:] == reference_spectrum_rows(m, g, *k_range)
+
+
+@pytest.mark.parametrize("m, g", TABLE_CASES)
+def test_profile_rows_match_per_value_format(capsys, m, g):
+    code, out, err = run_cli(capsys, ["profile", f"--m={m!r}", f"--gamma={g}", "--points", "50"])
+    assert code == 0 and json.loads(err)["m"] == m
+    dec = total_decomposition(ModelParams(m, as_gamma(g)))
+    xs = np.geomspace(0.1, 5.0, 50)
+    b, e, cx2 = dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.singular.c_inv_x2 / (xs * xs)
+    columns = (xs, b, e, b + e, b + e - cx2, cx2)
+    assert out.splitlines()[1:] == [",".join(format(v, ".17g") for v in row)
+                                    for row in zip(*(c.tolist() for c in columns))]
 
 
 def test_profile_stdout_and_sidecar(capsys):

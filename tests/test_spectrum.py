@@ -1,13 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from edgecurrents import (GAMMA_INFINITY, GridTooSmall, InvalidDeficiency, InvalidMomentum,
                           ModelParams, OutOfDomain, apply_dirac_fd, as_gamma, bulk_mode,
-                          defect_mode, edge_conductivity, edge_mode_at_k, edge_velocity,
-                          eigen_residual, eval_bulk, eval_defect, eval_edge, gap_crossing,
-                          richardson_residual, sample_on_grid)
+                          defect_mode, edge_conductivity, edge_dispersion, edge_mode_at_k,
+                          edge_velocity, eigen_residual, eval_bulk, eval_defect, eval_edge,
+                          gap_crossing, richardson_residual, sample_on_grid)
 from edgecurrents.currents import _bilinears
 from edgecurrents.oracle import quad
 from conftest import random_gamma
@@ -90,6 +91,30 @@ def test_edge_mode_disappears():
 def test_edge_mode_nan_decay_rate_is_no_mode():
     assert edge_mode_at_k(ModelParams(1.0, as_gamma(2.0)), math.nan) is None
     assert edge_mode_at_k(ModelParams(math.nan, as_gamma(2.0)), 0.0) is None
+
+
+def float_bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@pytest.mark.parametrize("g", [2.0, 0.5, -0.5, -3.0, 0.0, 1.0, -1.0, "inf", 1e16, 1e155, -1e200])
+def test_edge_dispersion_array_is_the_float_formula_bit_for_bit(g):
+    # the CLI table evaluates one array; each element must be what edge_mode_at_k gives
+    ks = np.concatenate([np.linspace(-3.0, 3.0, 61), [-0.0, 5e-324, -1e300, 1e300, math.nan]])
+    for m in (1.0, 0.0, -1.0, 0.2, 1e300, math.nan):
+        p = ModelParams(m, as_gamma(g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            E, lam = edge_dispersion(p, ks)
+        assert E.shape == lam.shape == ks.shape
+        for k, e, lk in zip(ks.tolist(), E.tolist(), lam.tolist()):
+            mode = edge_mode_at_k(p, k)
+            if mode is None:
+                assert not lk > 0.0
+                e_ref, lam_ref = edge_dispersion(p, k)
+            else:
+                assert mode.k == k and lk > 0.0
+                e_ref, lam_ref = mode.E, mode.lam
+            assert float_bits(e) + float_bits(lk) == float_bits(e_ref) + float_bits(lam_ref)
 
 
 def test_edge_mode_unit_gamma_rule():
