@@ -8,8 +8,7 @@ _EXPORTS = {
     "currents": """CurrentDecomposition PartialFractionData SingularPart closed_form_bulk_j2
         closed_form_edge_j2 j1_identically_zero_check partial_fractions singular_part
         total_decomposition""",
-    "errors": """BoostUndefined CptInvariantBoundary DegeneratePair EdgeCurrentsError GridTooSmall
-        InvalidDeficiency InvalidMomentum NoEdgeState NonConvergent OutOfDomain""",
+    "errors": "BoostUndefined CptInvariantBoundary EdgeCurrentsError NonConvergent OutOfDomain",
     "fd": "apply_dirac_fd eigen_residual richardson_residual sample_on_grid",
     "multifermion": """BoostScanEntry FermionSystem ResidualReport boost_invariance_scan
         conjugate_pair make_system rapidity_equivalence_check residuals solve_system""",

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .errors import EdgeCurrentsError, NonConvergent
+from .errors import EdgeCurrentsError, NonConvergent, OutOfDomain
 from .multifermion import FermionSystem, residuals, solve_system
 from .params import (ModelParams, ProjectiveReal, as_gamma, boundary_character, cpt_dual,
                      halfplane_dual, reflection_dual)
@@ -67,6 +67,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     import numpy as np
     from .spectrum import edge_conductivity, edge_dispersion
     p = ModelParams(args.m, args.gamma)
+    if not math.isfinite(args.k_max - args.k_min):  # np.linspace would step by inf
+        raise OutOfDomain(f"the k span overflows, got k_min={args.k_min}, k_max={args.k_max}")
     ch = boundary_character(p.gamma)
     lines = [
         f"# v_edge={_fmt(ch.v_edge)}",
@@ -91,10 +93,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     p = ModelParams(args.m, args.gamma)
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
-    b = dec.bulk_smooth(xs)
-    e = dec.edge_smooth(xs)
-    cx2 = dec.singular.c_inv_x2 / (xs * xs)
-    columns = (xs, b, e, b + e, b + e - cx2, cx2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf, nan at extreme x
+        b = dec.bulk_smooth(xs)
+        e = dec.edge_smooth(xs)
+        cx2 = dec.singular.c_inv_x2 / (xs * xs)
+        columns = (xs, b, e, b + e, b + e - cx2, cx2)
     lines = ["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2"]
     lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
               for row in zip(*(c.tolist() for c in columns))]

@@ -7,8 +7,9 @@ in v = exp(arcsinh(k/a)), the closed-form bulk and edge profiles, and the split
 of the total into distributional singular coefficients (delta'(x) ln Lambda,
 delta'(x), 1/x^2) plus a smooth regular remainder.
 
-Closed forms are derived for m >= 0; negative masses are routed through the
-reflection duality (m, gamma) -> (-m, -1/gamma), under which j^2 flips sign.
+Closed forms are derived for m >= 0; at negative masses the smooth profiles
+are routed through the reflection duality (m, gamma) -> (-m, -1/gamma), under
+which j^2 flips sign.  The singular coefficients depend on gamma alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CptInvariantBoundary, InvalidMomentum, OutOfDomain
+from .errors import CptInvariantBoundary, OutOfDomain
 from .params import ModelParams, _homogeneous, _singular_coefficients, reflection_dual
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
@@ -118,7 +119,7 @@ def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
     """Build the partial-fraction data of -(f/g) dk/E at transverse momentum l."""
     _reject_cpt_invariant(p)
     if l <= 0:
-        raise InvalidMomentum(f"need l > 0, got l={l}")
+        raise OutOfDomain(f"need l > 0, got l={l}")
     m = p.m
     a = math.sqrt(l * l + m * m)
     ga, gb = _homogeneous(p.gamma)
@@ -214,7 +215,9 @@ class CurrentDecomposition:
     regular(x) = bulk_smooth(x) + edge_smooth(x) - c_inv_x2/x^2 is finite on
     (0, inf); for gamma^2 > 1 the algebraic 1/x^2 tails of the two smooth
     parts cancel in their sum, which then decays exponentially.  At m < 0
-    each profile is minus the closed form at reflection_dual(params).
+    each profile is minus the closed form at reflection_dual(params); the
+    singular coefficients depend on gamma alone and are odd under the dual,
+    so they are singular_part(params) at every m.
     """
 
     params: ModelParams
@@ -240,9 +243,5 @@ class CurrentDecomposition:
 
 
 def total_decomposition(p: ModelParams) -> CurrentDecomposition:
-    """Assemble the full decomposition of <j^2>; m < 0 via reflection duality."""
-    _reject_cpt_invariant(p)
-    if p.m < 0:  # j^2 flips sign under reflection_dual
-        dual = _singular_coefficients(*_homogeneous(reflection_dual(p).gamma))
-        return CurrentDecomposition(p, SingularPart(*(-c for c in dual)))
+    """Assemble the decomposition of <j^2>; its singular part is singular_part(p) at every m."""
     return CurrentDecomposition(p, singular_part(p))

@@ -1,41 +1,27 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Every invalid input raises OutOfDomain, except gamma = +-1 where an operation
+rejects it (CptInvariantBoundary) and boosts at or onto gamma = +-1
+(BoostUndefined).  NonConvergent is no invalid input: an oracle's quadrature
+missed its tolerance.
+"""
 
 
 class EdgeCurrentsError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidMomentum(EdgeCurrentsError):
-    """Transverse momentum l must be strictly positive."""
-
-
-class InvalidDeficiency(EdgeCurrentsError):
-    """Deficiency parameter mu must be strictly positive."""
-
-
-class BoostUndefined(EdgeCurrentsError):
-    """Boosts do not act on gamma = +-1 (signature undefined there)."""
+class OutOfDomain(EdgeCurrentsError, ValueError):
+    """Argument outside the domain of an operation."""
 
 
 class CptInvariantBoundary(EdgeCurrentsError):
     """Operation rejects the limiting boundary conditions gamma = +-1."""
 
 
-class NoEdgeState(EdgeCurrentsError):
-    """No edge mode exists at the requested momentum (decay rate <= 0)."""
-
-
-class GridTooSmall(EdgeCurrentsError):
-    """Finite-difference grids need at least 3 points per axis."""
-
-
-class OutOfDomain(EdgeCurrentsError, ValueError):
-    """Argument outside the domain of an operation."""
+class BoostUndefined(EdgeCurrentsError):
+    """Boosts do not act on gamma = +-1 (signature undefined there)."""
 
 
 class NonConvergent(EdgeCurrentsError):
     """Quadrature failed to meet its tolerance: an oracle's two evaluations disagree."""
-
-
-class DegeneratePair(EdgeCurrentsError):
-    """gamma in {0, +-1, inf} does not yield a nondegenerate conjugate pair."""

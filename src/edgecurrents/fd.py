@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooSmall, OutOfDomain
+from .errors import OutOfDomain
 from .params import ModelParams
 
 
@@ -33,7 +33,7 @@ def apply_dirac_fd(field: np.ndarray, p: ModelParams, h: float) -> np.ndarray:
     if field.ndim != 3 or field.shape[2] != 2:
         raise OutOfDomain(f"expected a grid of shape (nx, ny, 2), got {field.shape}")
     if field.shape[0] < 3 or field.shape[1] < 3:
-        raise GridTooSmall(f"need at least 3 points per axis, got {field.shape[:2]}")
+        raise OutOfDomain(f"need at least 3 points per axis, got {field.shape[:2]}")
     if h <= 0:
         raise OutOfDomain(f"grid spacing must be positive, got h={h}")
     dx = _diff(field, h, axis=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product, takewhile
 from typing import Iterable, Sequence
 
-from .errors import CptInvariantBoundary, DegeneratePair, OutOfDomain
+from .errors import CptInvariantBoundary, OutOfDomain
 from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio,
                      _homogeneous, _is_unit, _singular_coefficients, as_gamma, boost,
                      boundary_character)
@@ -115,7 +115,7 @@ def conjugate_pair(gamma: GammaLike) -> FermionSystem:
     """The charge-conjugate pair {gamma, -1/gamma}; all three residuals vanish."""
     g = as_gamma(gamma)
     if g.is_infinite or g.value == 0.0 or _is_unit(g):
-        raise DegeneratePair(f"gamma={g} does not give a nondegenerate pair")
+        raise OutOfDomain(f"gamma={g} does not give a nondegenerate pair")
     return FermionSystem((g, g.inv().neg()))
 
 
@@ -201,28 +201,25 @@ def _dedupe(keys: list[tuple[float, ...]], tol: float = 1e-8) -> list[tuple[floa
     return kept
 
 
-def solve_system(n: int, fixed: dict[int, GammaLike] | Sequence[GammaLike] | None = None
-                 ) -> list[FermionSystem]:
+def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]:
     """Every system of n species that contains the pinned gammas and cancels r_log, r_x2.
 
-    ``fixed`` pins a subset of the gammas (by index when a dict, else the first
-    entries), which leaves V = -(r_plus, r_minus) of the pinned species to the
-    free ones.  One free species is V when V is a unit vector, two follow from
-    a quadratic; further leading free species, and two free species when V
-    vanishes (a one-parameter family), take |theta| = 0, 0.5, .., 3.  A
-    candidate is kept when it cancels (``ResidualReport.cancels``), with both
-    signs of every free gamma (the residuals are even in gamma) and without
-    free gammas that round to +-1.  Systems list their gammas sorted, inf
-    last, and come deduplicated at 1e-8 and sorted.  [] means infeasible, as
-    for every n = 3: one unit vector is never the sum of two.
+    ``fixed`` pins fewer than n of the gammas, which leaves V = -(r_plus, r_minus)
+    of the pinned species to the free ones.  One free species is V when V is a
+    unit vector, two follow from a quadratic; further leading free species,
+    and two free species when V vanishes (a one-parameter family), take
+    |theta| = 0, 0.5, .., 3.  A candidate is kept when it cancels
+    (``ResidualReport.cancels``), with both signs of every free gamma (the
+    residuals are even in gamma) and without free gammas that round to +-1.
+    Systems list their gammas sorted, inf last, and come deduplicated at 1e-8
+    and sorted, so the order of ``fixed`` does not matter.  [] means
+    infeasible, as for every n = 3: one unit vector is never the sum of two.
     """
     if n < 2:
         raise OutOfDomain("need at least two species")
-    if not isinstance(fixed, dict):
-        fixed = dict(enumerate(() if fixed is None else fixed))
-    if len(fixed) >= n or not all(0 <= i < n for i in fixed):
-        raise OutOfDomain("fixed gammas need indices below n and must leave one free")
-    pinned = FermionSystem(tuple(fixed[i] for i in sorted(fixed)))
+    if len(fixed) >= n:
+        raise OutOfDomain("fixed gammas must leave one free")
+    pinned = FermionSystem(tuple(fixed))
     rep = residuals(pinned)
     keys = []
     for units in _unit_sums(-rep.r_plus, -rep.r_minus, n - len(fixed), rep.scale):

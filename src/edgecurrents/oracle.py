@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import partial_fractions
-from .errors import CptInvariantBoundary, NonConvergent, OutOfDomain
+from .currents import _reject_cpt_invariant, partial_fractions
+from .errors import NonConvergent, OutOfDomain
 from .params import ModelParams, _homogeneous, edge_velocity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -106,8 +106,7 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     |dk/du| = (1+g^2)/|g^2-1|, all written in the homogeneous coordinates
     (a, b) of params._homogeneous.  At gamma = inf no decay rate is occupied.
     """
-    if p.is_cpt_invariant_bc:
-        raise CptInvariantBoundary("oracle rejects gamma = +-1")
+    _reject_cpt_invariant(p)
     _check_x(x)
     a, b = _homogeneous(p.gamma)
     if b == 0.0:
@@ -228,8 +227,7 @@ def oracle_bulk_current(p: ModelParams, x: float) -> float:
     limit of the l-integral of the remaining P4 finite part, the principal
     arctan(l/m) and the Theta branch term, along the rays.
     """
-    if p.is_cpt_invariant_bc:
-        raise CptInvariantBoundary("oracle rejects gamma = +-1")
+    _reject_cpt_invariant(p)
     a, b = _homogeneous(p.gamma)
     if a * b == 0.0:
         raise OutOfDomain("bulk pipeline needs gamma not in {0, inf}")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import BoostUndefined
+from .errors import BoostUndefined, OutOfDomain
 
 GammaLike = Union["ProjectiveReal", float, int, str]
 
@@ -27,7 +27,7 @@ class ProjectiveReal:
         if self.value is not None:
             v = float(self.value)
             if math.isnan(v) or math.isinf(v):
-                raise ValueError(
+                raise OutOfDomain(
                     "finite projective values must be finite floats; "
                     "use ProjectiveReal() for the point at infinity"
                 )
@@ -53,7 +53,7 @@ class ProjectiveReal:
 
     def __float__(self) -> float:
         if self.value is None:
-            raise ValueError("the point at infinity has no float value")
+            raise OutOfDomain("the point at infinity has no float value")
         return self.value
 
     def __repr__(self) -> str:
@@ -89,11 +89,6 @@ class ModelParams:
     def is_cpt_invariant_bc(self) -> bool:
         """True exactly for the limiting boundary conditions gamma = +-1."""
         return _is_unit(self.gamma)
-
-    @property
-    def gap(self) -> tuple[float, float]:
-        """Spectral gap (-|m|, |m|) of the bulk, derived on demand."""
-        return (-abs(self.m), abs(self.m))
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def boost(gamma: GammaLike, chi: float) -> ProjectiveReal:
         raise BoostUndefined("boosts are undefined at gamma = +-1")
     try:
         out = _gamma_from_eta_theta(ch.eta, ch.theta + chi)
-    except ValueError:  # 1/tanh overflowed, or chi is nan
+    except OutOfDomain:  # 1/tanh overflowed, or chi is nan
         out = None
     if out is None or _is_unit(out):
         raise BoostUndefined(f"boost by chi={chi!r} leaves the representable gammas != +-1")

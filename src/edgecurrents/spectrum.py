@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDeficiency, InvalidMomentum, OutOfDomain
+from .errors import OutOfDomain
 from .params import ModelParams, _homogeneous
 
 
@@ -72,7 +72,7 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     (a + b rho*)/(a + b rho) in the homogeneous coordinates of params._homogeneous.
     """
     if l <= 0:
-        raise InvalidMomentum(f"bulk modes need l > 0, got l={l}")
+        raise OutOfDomain(f"bulk modes need l > 0, got l={l}")
     if branch not in ("positive", "negative"):
         raise OutOfDomain(f"branch must be 'positive' or 'negative', got {branch!r}")
     E = math.sqrt(k * k + l * l + p.m * p.m)
@@ -148,7 +148,7 @@ def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
     lambda_def = sqrt(mu^2 + k^2 + m^2) and s = i (k + lambda_def)/(m + sign*i*mu).
     """
     if mu <= 0:
-        raise InvalidDeficiency(f"deficiency parameter must be positive, got mu={mu}")
+        raise OutOfDomain(f"deficiency parameter must be positive, got mu={mu}")
     if sign not in (1, -1):
         raise OutOfDomain(f"sign must be +1 or -1, got {sign}")
     lam = math.sqrt(mu * mu + k * k + p.m * p.m)

@@ -138,6 +138,17 @@ def test_profile_stdout_and_sidecar(capsys):
     assert "c_log_delta_prime" in sidecar
 
 
+def test_profile_at_float_limits_is_quiet(capsys):
+    # 1/x^2 overflows at x = 1e-300 and underflows at 1e300: inf and nan cells without
+    # numpy's RuntimeWarnings, so stderr is the JSON sidecar alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["profile", "--m=1", "--gamma=0", "--x-min=1e-300",
+                                          "--x-max=1e300", "--points=13"])
+    assert code == 0 and len(out.splitlines()) == 14
+    assert json.loads(err)["c_inv_x2"] == 0.0
+
+
 def test_profile_writes_files(tmp_path, capsys):
     out_path = tmp_path / "profile.csv"
     argv = ["profile", "--m", "1", "--gamma", "2", "--points", "7", "--out", str(out_path)]
@@ -298,6 +309,9 @@ def test_oracle_usage_errors(capsys, extra):
     (["oracle", "--m", "1", "--x", "inf", "--what", "edge"], "'inf'"),
     (["oracle", "--m", "1", "--x", "0.7", "--what", "edge", "--tol", "nan"], "'nan'"),
     (["oracle", "--m", "1", "--x", "0.7", "--what", "edge", "--tol", "0"], "'0'"),
+    # finite ends whose span k_max - k_min overflows
+    (["spectrum", "--m", "1", "--gamma", "2", "--k-min", "1.7976931348623157e308",
+      "--k-max=-1.7976931348623157e308", "--points", "5"], "k_min=1.7976931348623157e+308"),
 ])
 def test_bad_input_is_one_line(capsys, argv, named):
     # an exception escaping main would be a traceback, and any warning fails here

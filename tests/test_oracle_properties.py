@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma, closed_form_bulk_j2,  # noqa: E402
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                          singular_part)
+                          total_decomposition)
 
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -91,14 +91,16 @@ def test_branch_cut_oracle_matches_closed_form(m, x):
 
 
 @fixed_examples
-@given(finite_gamma)
-@example(1e16)
-@example(-1.3688492131505766e16)
-@example(1e-12)
-def test_singular_coefficients_match_mpmath(g):
-    # each coefficient to 1e-15 wherever its reference is in the normal float range;
+@given(st.sampled_from([1.0, -1.0]), finite_gamma)
+@example(1.0, 1e16)
+@example(1.0, -1.3688492131505766e16)
+@example(1.0, 1e-12)
+@example(-1.0, -0.999)
+def test_singular_coefficients_match_mpmath(m, g):
+    # each coefficient to 1e-15 wherever its reference is in the normal float range, at
+    # either sign of m (the coefficients depend on gamma alone);
     # c_delta_prime = [g/(pi(g^2-1))] theta, theta = 2 atanh(g or 1/g)
-    s = singular_part(ModelParams(1.0, as_gamma(g)))
+    s = total_decomposition(ModelParams(m, as_gamma(g))).singular
     with mp.workdps(60):
         G = mp.mpf(g)
         d = (G - 1) * (G + 1)
