@@ -94,10 +94,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf, nan at extreme x
-        b = dec.bulk_smooth(xs)
-        e = dec.edge_smooth(xs)
-        cx2 = dec.singular.c_inv_x2 / (xs * xs)
-        columns = (xs, b, e, b + e, b + e - cx2, cx2)
+        columns = (xs, dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.total_smooth(xs),
+                   dec.regular(xs), dec.singular.c_inv_x2 / (xs * xs))
     lines = ["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2"]
     lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
               for row in zip(*(c.tolist() for c in columns))]
@@ -232,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "constraints":
         if (args.gammas is None) == (args.solve is None):
             ap.error("constraints needs exactly one of --gammas or --solve")
+        if args.fix and args.solve is None:
+            ap.error("--fix needs --solve")
         if args.solve is not None and (args.solve < 2 or len(args.fix) >= args.solve):
             ap.error("--solve N needs N >= 2 and fewer than N --fix gammas")
     try:

@@ -25,9 +25,9 @@ from .params import ModelParams, _homogeneous, _singular_coefficients, reflectio
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
-# 1 - (1+t) e^{-t} = e^{-t} t^2 sum_j t^j/(j+2)!: below t = 1/2 its terms j <= 18 reach full
-# precision, highest first for np.polyval's Horner scheme; above it expm1 loses at most 2 bits
-_EDGE_SERIES = [1.0 / math.factorial(j + 2) for j in range(18, -1, -1)]
+# psi(t) = 1 - (1+t) e^{-t} = e^{-t} t^2 sum_j t^j/(j+2)!: below t = 1/2 its terms j <= 18 reach
+# full precision, highest first for Horner's scheme; above it expm1 loses at most 2 bits
+_PSI_SERIES = [1.0 / math.factorial(j + 2) for j in range(18, -1, -1)]
 
 
 def _as_output(a):
@@ -144,15 +144,56 @@ class SingularPart:
     c_inv_x2: float
 
 
-def _closed_form_domain(p: ModelParams, x: float | np.ndarray) -> np.ndarray:
-    """x as a float array; rejects any x outside (0, inf), nan included, and m < 0."""
+def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float | np.ndarray:
+    """A smooth profile at x > 0 for m >= 0: "bulk", "edge", "total" or "regular"; x broadcasts.
+
+    All four come from one set of terms, in the homogeneous coordinates (a, b)
+    of params._homogeneous, gamma = b/a: c = ab/(2 pi (b-a)(b+a)) =
+    g/(2 pi (g^2-1)), u = 1/(2x^2), s = 2mx, t = s a/b = 2mx/g and
+    phi(t) = (1+t) e^{-t} = 1 - psi(t).  The bulk and edge exponentials
+    c u phi(s) and 2c u phi(t) Theta(g), and the tail 2c u Theta(g^2-1) that
+    bulk and edge carry with opposite signs, are evaluated only by the
+    profiles that need them.  The total, and the regular part total -
+    c_inv_x2/x^2 with c_inv_x2/x^2 = -c u sgn(g), cancel the tails in the
+    formula, not in floats: c u [phi(s) - 2 phi(t) Theta(g)] and
+    c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at m = 0.  Rejects any x
+    outside (0, inf), nan included, m < 0 and gamma = +-1.
+    """
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < math.inf)
     if not inside.all():
         raise OutOfDomain(f"closed forms need 0 < x < inf, got x={x[~inside].flat[0]}")
     if p.m < 0:
         raise OutOfDomain("closed forms are derived for m >= 0; use total_decomposition")
-    return x
+    _reject_cpt_invariant(p)
+    m, (a, b) = p.m, _homogeneous(p.gamma)
+    c = a * b / (2.0 * math.pi * ((b - a) * (b + a)))
+    u, s = 1.0 / (2.0 * x * x), 2.0 * m * x
+    t = s * a / b if b > 0 else None
+    bulk_exp = lambda: c * (u + m / x) * np.exp(-s)  # noqa: E731
+    edge_exp = lambda: 2.0 * c * (u + m * a / (b * x)) * np.exp(-t) if b > 0 else 0.0  # noqa: E731
+    tail = lambda: 2.0 * c * u * (1.0 if abs(b) > a else 0.0)  # noqa: E731
+    profiles = {
+        "bulk": lambda: bulk_exp() - tail(),
+        # gamma = 0 has no edge states: +0.0 at every x, where tail() is -0.0, or nan as u overflows
+        "edge": lambda: (np.zeros_like(x) if b == 0.0 else
+                         2.0 * c * u * _psi(t) if b > a else tail() - edge_exp()),
+        # + 0.0, and in the regular part the two products apart: a profile that vanishes
+        # (where both terms underflow, or at m = 0) is +0.0 at either sign of c
+        "total": lambda: bulk_exp() - edge_exp() + 0.0,
+        "regular": lambda: (2.0 * c * u * _psi(t) if b > 0 else 0.0) - c * u * _psi(s),
+    }
+    return _as_output(profiles[profile]())
+
+
+def _psi(t):
+    """psi(t) = 1 - (1+t) e^{-t}, without its cancellation at small t."""
+    s = np.minimum(t, 0.5)  # the discarded series branch stays finite at large t
+    t = np.minimum(t, 1e3)  # psi is 1.0 from t ~ 40 on; t e^{-t} would be nan at t = inf
+    series = 0.0
+    for coef in _PSI_SERIES:  # np.polyval's Horner steps, without its array set-up per call
+        series = series * s + coef
+    return np.where(t < 0.5, np.exp(-s) * s * s * series, -np.expm1(-t) - t * np.exp(-t))
 
 
 def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
@@ -160,17 +201,10 @@ def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
 
     [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx} - [g/(pi (g^2-1))] (1/(2x^2)) Theta(g^2-1);
     its delta' coefficients are those of singular_part.  Written in the
-    homogeneous coordinates (a, b) of params._homogeneous, g/(g^2-1) =
-    ab/(b^2-a^2), so it is 0 at gamma = inf and stays finite where g^2 would
-    overflow.
+    homogeneous coordinates (a, b) of params._homogeneous (see _closed_form),
+    it is 0 at gamma = inf and stays finite where g^2 would overflow.
     """
-    x = _closed_form_domain(p, x)
-    _reject_cpt_invariant(p)
-    a, b = _homogeneous(p.gamma)
-    c = a * b / (2.0 * math.pi * (b * b - a * a))
-    smooth = c * (1.0 / (2.0 * x * x) + p.m / x) * np.exp(-2.0 * p.m * x)
-    smooth -= 2.0 * c * (1.0 / (2.0 * x * x)) * (1.0 if abs(b) > a else 0.0)
-    return _as_output(smooth)
+    return _closed_form(p, x, "bulk")
 
 
 def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
@@ -180,22 +214,7 @@ def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.nda
     written in the homogeneous coordinates (a, b) of params._homogeneous.
     Vanishes identically for gamma in (-1, 0) and for gamma in {0, inf}.
     """
-    x = _closed_form_domain(p, x)
-    _reject_cpt_invariant(p)
-    a, b = _homogeneous(p.gamma)
-    if b == 0.0:  # v_edge = 0; t = 2mx/g is undefined
-        return _as_output(np.zeros_like(x))
-    c = a * b / (math.pi * ((b - a) * (b + a)))
-    if b > a:  # gamma > 1: the bracket 1 - (1+t) e^{-t} without its cancellation at small t
-        t = 2.0 * p.m * x * a / b
-        s = np.minimum(t, 0.5)  # the discarded series branch stays finite at large t
-        bracket = np.where(t < 0.5, np.exp(-s) * s * s * np.polyval(_EDGE_SERIES, s),
-                           -np.expm1(-t) - t * np.exp(-t))
-        return _as_output(c * (1.0 / (2.0 * x * x)) * bracket)
-    out = c * (1.0 / (2.0 * x * x)) * (1.0 if abs(b) > a else 0.0)
-    if b > 0:
-        out -= c * (1.0 / (2.0 * x * x) + p.m * a / (b * x)) * np.exp(-2.0 * p.m * x * a / b)
-    return _as_output(out)
+    return _closed_form(p, x, "edge")
 
 
 def singular_part(p: ModelParams) -> SingularPart:
@@ -212,34 +231,34 @@ def singular_part(p: ModelParams) -> SingularPart:
 class CurrentDecomposition:
     """<j^2(x)> split into singular coefficients and smooth profiles.
 
-    regular(x) = bulk_smooth(x) + edge_smooth(x) - c_inv_x2/x^2 is finite on
-    (0, inf); for gamma^2 > 1 the algebraic 1/x^2 tails of the two smooth
-    parts cancel in their sum, which then decays exponentially.  At m < 0
-    each profile is minus the closed form at reflection_dual(params); the
-    singular coefficients depend on gamma alone and are odd under the dual,
-    so they are singular_part(params) at every m.
+    total_smooth(x) = bulk_smooth(x) + edge_smooth(x) and regular(x) =
+    total_smooth(x) - c_inv_x2/x^2, finite on (0, inf), are closed forms of
+    their own: for gamma^2 > 1 the algebraic 1/x^2 tails of the two smooth
+    parts cancel in the formula, not in floats, and the total decays
+    exponentially.  At m < 0 each profile is minus the closed form at
+    reflection_dual(params); the singular coefficients depend on gamma alone
+    and are odd under the dual, so they are singular_part(params) at every m.
     """
 
     params: ModelParams
     singular: SingularPart
 
-    def _smooth(self, closed_form, x):
+    def _smooth(self, profile, x):
         if self.params.m < 0:
-            return -closed_form(reflection_dual(self.params), x)
-        return closed_form(self.params, x)
+            return -_closed_form(reflection_dual(self.params), x, profile)
+        return _closed_form(self.params, x, profile)
 
     def bulk_smooth(self, x):
-        return self._smooth(closed_form_bulk_j2, x)
+        return self._smooth("bulk", x)
 
     def edge_smooth(self, x):
-        return self._smooth(closed_form_edge_j2, x)
+        return self._smooth("edge", x)
 
     def total_smooth(self, x):
-        return self.bulk_smooth(x) + self.edge_smooth(x)
+        return self._smooth("total", x)
 
     def regular(self, x):
-        x = np.asarray(x, dtype=float)
-        return _as_output(self.total_smooth(x) - self.singular.c_inv_x2 / (x * x))
+        return self._smooth("regular", x)
 
 
 def total_decomposition(p: ModelParams) -> CurrentDecomposition:

@@ -42,7 +42,7 @@ class FermionSystem:
 
 
 def make_system(gammas: Iterable[GammaLike]) -> FermionSystem:
-    return FermionSystem(tuple(as_gamma(g) for g in gammas))
+    return FermionSystem(tuple(gammas))
 
 
 def _summands(g: ProjectiveReal) -> tuple[float, float, float, float, float]:

@@ -120,8 +120,8 @@ def test_profile_rows_match_per_value_format(capsys, m, g):
     assert code == 0 and json.loads(err)["m"] == m
     dec = total_decomposition(ModelParams(m, as_gamma(g)))
     xs = np.geomspace(0.1, 5.0, 50)
-    b, e, cx2 = dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.singular.c_inv_x2 / (xs * xs)
-    columns = (xs, b, e, b + e, b + e - cx2, cx2)
+    columns = (xs, dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.total_smooth(xs), dec.regular(xs),
+               dec.singular.c_inv_x2 / (xs * xs))
     assert out.splitlines()[1:] == [",".join(format(v, ".17g") for v in row)
                                     for row in zip(*(c.tolist() for c in columns))]
 
@@ -240,6 +240,7 @@ def test_constraints_solve_infeasible(capsys):
     (["constraints", "--solve", "3", "--fix", "2"], 0),
     (["constraints", "--solve", "1"], 2),
     (["constraints", "--solve", "2", "--fix", "2,3"], 2),
+    (["constraints", "--gammas", "2,-0.5", "--fix", "3"], 2),
 ])
 def test_constraints_solve_exit_codes_without_traceback(argv, code):
     res = run_fresh(["-m", "edgecurrents.cli", *argv])

@@ -3,7 +3,8 @@
 The closed forms are evaluated at 50 digits with mpmath, so each bound below
 is the oracle's own accuracy: m in {0} u [0.01, 2], x in [0.05, 5], gamma
 across the projective line, |gamma| from 1e-300 to 1e300 and down to 1e-3 from +-1.
-The singular coefficients are checked the same way, at 60 digits.
+The singular coefficients, the total and the regular part are checked the
+same way, at 60 digits.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma, closed_form_bulk_j2,  # noqa: E402
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                          total_decomposition)
+                          reflection_dual, total_decomposition)
 
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -111,3 +112,45 @@ def test_singular_coefficients_match_mpmath(m, g):
             if abs(ref) >= sys.float_info.min:
                 assert abs(c - ref) <= 1e-15 * abs(ref)
 
+
+def smooth_reference(m, g, x):
+    """(total, regular) at m >= 0 and the size of their exponential terms; g is an mpf or inf.
+
+    total = bulk + edge from the two references above.  With c = g/(2 pi (g^2-1)),
+    u = 1/(2x^2), s = 2mx, t = 2mx/g and phi(t) = (1+t) e^{-t} = 1 - psi(t),
+    regular = total - c_x2/x^2 = c u [2 psi(t) Theta(g) - psi(s)], which is checked here
+    and is exactly 0 at m = 0.  The scales are |c| u [phi(s) + 2 phi(t) Theta(g)] and
+    |c| u [psi(s) + 2 psi(t) Theta(g)].
+    """
+    if mp.isinf(g):
+        return mp.mpf(0), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+    m, x = mp.mpf(m), mp.mpf(x)
+    c, u, s = g / (2 * mp.pi * (g * g - 1)), 1 / (2 * x * x), 2 * m * x
+    # psi(t) is the lower incomplete gamma(2, t), without the cancellation of 1 - phi(t)
+    psi_s, psi_t = mp.gammainc(2, 0, s), (mp.gammainc(2, 0, s / g) if g > 0 else mp.mpf(0))
+    phi_s, phi_t = 1 - psi_s, ((1 - psi_t) if g > 0 else mp.mpf(0))
+    total = bulk_reference(m, g, x) + edge_reference(m, g, x)
+    regular = c * u * (2 * psi_t - psi_s)
+    c_x2 = -abs(g) / (4 * mp.pi * (g * g - 1))
+    assert abs(total - c_x2 / (x * x) - regular) <= 1e-50 * abs(c) * u
+    return total, regular, abs(c) * u * (phi_s + 2 * phi_t), abs(c) * u * (psi_s + 2 * psi_t)
+
+
+@fixed_examples
+@given(st.sampled_from([1.0, -1.0]), st.floats(0.0, 5.0), projective_gamma, distance)
+@example(1.0, 5.0, 1.2, 5.0)
+@example(1.0, 1.0, 2.0, 50.0)
+def test_total_and_regular_match_mpmath(sign, m, g, x):
+    # within 1e-14 of the size of the exponential terms: the 1/x^2 tails of bulk and edge
+    # cancel in the closed form, not in floats.  At m < 0 each profile is minus the closed
+    # form at reflection_dual(p), whose gamma = -1/g is rounded; the reference is taken at
+    # that gamma, since near |g| = 1 a rounding of gamma alone moves c by ulp/(g^2 - 1)
+    p = ModelParams(sign * m, as_gamma(g))
+    q = p if sign > 0 else reflection_dual(p)
+    dec = total_decomposition(p)
+    with mp.workdps(60):
+        G = mp.inf if q.gamma.is_infinite else mp.mpf(q.gamma.value)
+        total, regular, total_scale, regular_scale = smooth_reference(m, G, x)
+        # 1e-300: where the profiles underflow
+        assert abs(dec.total_smooth(x) - sign * total) <= 1e-14 * total_scale + 1e-300
+        assert abs(dec.regular(x) - sign * regular) <= 1e-14 * regular_scale + 1e-300
