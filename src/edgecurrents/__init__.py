@@ -5,9 +5,8 @@ from importlib import import_module
 # Submodule -> its exported names, loaded on first use (PEP 562) so that `import edgecurrents`
 # imports no numpy; uncached, so a name rebound in its submodule is what the package returns.
 _EXPORTS = {
-    "currents": """CurrentDecomposition PartialFractionData SingularPart closed_form_bulk_j2
-        closed_form_edge_j2 j1_identically_zero_check partial_fractions singular_part
-        total_decomposition""",
+    "currents": """CurrentDecomposition PartialFractionData SingularPart
+        j1_identically_zero_check partial_fractions singular_part total_decomposition""",
     "errors": "BoostUndefined CptInvariantBoundary EdgeCurrentsError NonConvergent OutOfDomain",
     "fd": "apply_dirac_fd eigen_residual richardson_residual sample_on_grid",
     "multifermion": """BoostScanEntry FermionSystem ResidualReport boost_invariance_scan

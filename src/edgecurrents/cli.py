@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .errors import EdgeCurrentsError, NonConvergent, OutOfDomain
@@ -115,19 +116,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .currents import closed_form_bulk_j2, closed_form_edge_j2
+    from .currents import total_decomposition
     from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
-    p = ModelParams(args.m, args.gamma)
+    p, x = ModelParams(args.m, args.gamma), args.x
     try:
         if args.what == "edge":
             name, tol = "edge_j2", 1e-8
-            closed, numeric = closed_form_edge_j2(p, args.x), oracle_edge_current(p, args.x)
+            closed, numeric = total_decomposition(p).edge_smooth(x), oracle_edge_current(p, x)
         elif args.what == "bulk":
             name, tol = "bulk_j2", 1e-2
-            closed, numeric = closed_form_bulk_j2(p, args.x), oracle_bulk_current(p, args.x)
+            closed, numeric = total_decomposition(p).bulk_smooth(x), oracle_bulk_current(p, x)
         else:  # branch-cut
             name, tol = "branch_cut", 1e-4
-            res = oracle_branch_cut_integral(p.m, args.x)
+            res = oracle_branch_cut_integral(p.m, x)
             closed, numeric = res.contour_value, res.abel_value
     except NonConvergent as exc:
         print(f"FAIL non-convergent: {exc}")
@@ -175,8 +176,21 @@ def cmd_dual(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with -<digit> or -.<digit> as a value, not an option.
+
+    argparse's own pattern admits only plain decimals such as -2 or -0.5, and
+    would take --gamma -1e200 or --gammas -0.5,2 for a missing value; the
+    subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="edgecurrents",
         description="Half-plane fermion boundary spectra and edge currents "
                     "(natural units hbar = c = 1; conductivity in e^2/h).")

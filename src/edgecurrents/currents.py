@@ -1,4 +1,4 @@
-"""Ground-state current density <j^2(x)> at Fermi energy E_F = -m.
+"""Ground-state current density <j^2(x)> of the filled Dirac sea and the filled edge states.
 
 Implements the filled-sea calculation: the current densities of a mode
 spinor, as the one bilinear j^mu = psi^dagger sigma^mu psi of the arrays that
@@ -7,9 +7,13 @@ in v = exp(arcsinh(k/a)), the closed-form bulk and edge profiles, and the split
 of the total into distributional singular coefficients (delta'(x) ln Lambda,
 delta'(x), 1/x^2) plus a smooth regular remainder.
 
-Closed forms are derived for m >= 0; at negative masses the smooth profiles
-are routed through the reflection duality (m, gamma) -> (-m, -1/gamma), under
-which j^2 flips sign.  The singular coefficients depend on gamma alone.
+The closed forms are derived for m >= 0 with Fermi energy E_F = -m; at m < 0
+they take the reflection duality (m, gamma) -> (-m, -1/gamma), exactly in the
+homogeneous coordinates of gamma, under which j^2 flips sign.  So at either
+sign of m they fill the edge states below -|m|, while oracle.oracle_edge_current
+fills them below E_F = -m; the two differ at m < 0, gamma < 0, where the edge
+branch crosses the gap (ROADMAP item 3).  The singular coefficients depend on
+gamma alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CptInvariantBoundary, OutOfDomain
-from .params import ModelParams, _homogeneous, _singular_coefficients, reflection_dual
+from .params import ModelParams, _homogeneous, _singular_coefficients
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
@@ -145,7 +149,7 @@ class SingularPart:
 
 
 def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float | np.ndarray:
-    """A smooth profile at x > 0 for m >= 0: "bulk", "edge", "total" or "regular"; x broadcasts.
+    """A smooth profile at x > 0 and any m: "bulk", "edge", "total" or "regular"; x broadcasts.
 
     All four come from one set of terms, in the homogeneous coordinates (a, b)
     of params._homogeneous, gamma = b/a: c = ab/(2 pi (b-a)(b+a)) =
@@ -156,17 +160,19 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float |
     profiles that need them.  The total, and the regular part total -
     c_inv_x2/x^2 with c_inv_x2/x^2 = -c u sgn(g), cancel the tails in the
     formula, not in floats: c u [phi(s) - 2 phi(t) Theta(g)] and
-    c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at m = 0.  Rejects any x
-    outside (0, inf), nan included, m < 0 and gamma = +-1.
+    c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at m = 0.  At m < 0 the
+    profile is minus the one at the reflection dual (-m, -1/gamma), whose
+    coordinates (|b|, -a sgn b) are exact; every term is homogeneous of degree
+    0 in (a, b).  Rejects any x outside (0, inf), nan included, and gamma = +-1.
     """
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < math.inf)
     if not inside.all():
         raise OutOfDomain(f"closed forms need 0 < x < inf, got x={x[~inside].flat[0]}")
-    if p.m < 0:
-        raise OutOfDomain("closed forms are derived for m >= 0; use total_decomposition")
     _reject_cpt_invariant(p)
     m, (a, b) = p.m, _homogeneous(p.gamma)
+    if m < 0:  # (-m, -1/gamma): gamma = 0 maps to (0, 1), which is inf, and inf to (1, -0.0)
+        m, a, b = -m, abs(b), -a if b > 0 else a
     c = a * b / (2.0 * math.pi * ((b - a) * (b + a)))
     u, s = 1.0 / (2.0 * x * x), 2.0 * m * x
     t = s * a / b if b > 0 else None
@@ -183,7 +189,8 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float |
         "total": lambda: bulk_exp() - edge_exp() + 0.0,
         "regular": lambda: (2.0 * c * u * _psi(t) if b > 0 else 0.0) - c * u * _psi(s),
     }
-    return _as_output(profiles[profile]())
+    out = _as_output(profiles[profile]())
+    return -out if p.m < 0 else out
 
 
 def _psi(t):
@@ -194,27 +201,6 @@ def _psi(t):
     for coef in _PSI_SERIES:  # np.polyval's Horner steps, without its array set-up per call
         series = series * s + coef
     return np.where(t < 0.5, np.exp(-s) * s * s * series, -np.expm1(-t) - t * np.exp(-t))
-
-
-def closed_form_bulk_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
-    """Closed-form smooth bulk current at x > 0 for m >= 0; x broadcasts.
-
-    [g/(2 pi (g^2-1))] (1/(2x^2) + m/x) e^{-2mx} - [g/(pi (g^2-1))] (1/(2x^2)) Theta(g^2-1);
-    its delta' coefficients are those of singular_part.  Written in the
-    homogeneous coordinates (a, b) of params._homogeneous (see _closed_form),
-    it is 0 at gamma = inf and stays finite where g^2 would overflow.
-    """
-    return _closed_form(p, x, "bulk")
-
-
-def closed_form_edge_j2(p: ModelParams, x: float | np.ndarray) -> float | np.ndarray:
-    """Closed-form edge current at x > 0 for m >= 0; x broadcasts.
-
-    [g/(2 pi (g^2-1) x^2)] [ Theta(g^2-1) - (1+t) e^{-t} Theta(g) ],  t = 2mx/g,
-    written in the homogeneous coordinates (a, b) of params._homogeneous.
-    Vanishes identically for gamma in (-1, 0) and for gamma in {0, inf}.
-    """
-    return _closed_form(p, x, "edge")
 
 
 def singular_part(p: ModelParams) -> SingularPart:
@@ -235,30 +221,26 @@ class CurrentDecomposition:
     total_smooth(x) - c_inv_x2/x^2, finite on (0, inf), are closed forms of
     their own: for gamma^2 > 1 the algebraic 1/x^2 tails of the two smooth
     parts cancel in the formula, not in floats, and the total decays
-    exponentially.  At m < 0 each profile is minus the closed form at
-    reflection_dual(params); the singular coefficients depend on gamma alone
-    and are odd under the dual, so they are singular_part(params) at every m.
+    exponentially.  Every profile is _closed_form at both signs of m: at
+    m < 0 it is minus the closed form at the exact reflection dual.  The
+    singular coefficients depend on gamma alone and are odd under the dual,
+    so they are singular_part(params) at every m.
     """
 
     params: ModelParams
     singular: SingularPart
 
-    def _smooth(self, profile, x):
-        if self.params.m < 0:
-            return -_closed_form(reflection_dual(self.params), x, profile)
-        return _closed_form(self.params, x, profile)
-
     def bulk_smooth(self, x):
-        return self._smooth("bulk", x)
+        return _closed_form(self.params, x, "bulk")
 
     def edge_smooth(self, x):
-        return self._smooth("edge", x)
+        return _closed_form(self.params, x, "edge")
 
     def total_smooth(self, x):
-        return self._smooth("total", x)
+        return _closed_form(self.params, x, "total")
 
     def regular(self, x):
-        return self._smooth("regular", x)
+        return _closed_form(self.params, x, "regular")
 
 
 def total_decomposition(p: ModelParams) -> CurrentDecomposition:

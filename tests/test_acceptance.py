@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from edgecurrents import (ModelParams, apply_dirac_fd, as_gamma, boost_invariance_scan,
-                          bulk_mode, closed_form_bulk_j2, closed_form_edge_j2, conjugate_pair,
-                          defect_mode, edge_conductivity, edge_mode_at_k, eval_bulk,
-                          eval_defect, eval_edge, make_system, oracle_branch_cut_integral,
-                          oracle_bulk_current, oracle_edge_current, partial_fractions,
-                          rapidity_equivalence_check, residuals, richardson_residual,
-                          singular_part, solve_system, total_decomposition)
+                          bulk_mode, conjugate_pair, defect_mode, edge_conductivity,
+                          edge_mode_at_k, eval_bulk, eval_defect, eval_edge, make_system,
+                          oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
+                          partial_fractions, rapidity_equivalence_check, residuals,
+                          richardson_residual, singular_part, solve_system, total_decomposition)
 from edgecurrents.cli import main as cli_main
 from conftest import random_gamma
 
@@ -109,7 +108,7 @@ def test_criterion_04_edge_closed_form_vs_quadrature():
     for g in (2.0, -2.0, 3.0, -3.0, 0.5, -0.5):
         for x in (0.2, 0.9, 1.7, 3.0):
             p = ModelParams(1.0, as_gamma(g))
-            closed = closed_form_edge_j2(p, x)
+            closed = total_decomposition(p).edge_smooth(x)
             numeric = oracle_edge_current(p, x)
             if closed == 0.0:
                 ok = ok and abs(numeric) < 1e-12
@@ -151,13 +150,14 @@ def test_criterion_07_bulk_pipeline_vs_closed_form():
     for m, g in ((1.0, 2.0), (1.0, 3.0), (1.0, -2.0), (1.0, -3.0), (1.0, 0.5), (1.0, -1.05),
                  (0.0, 2.0)):
         p = ModelParams(m, as_gamma(g))
+        dec = total_decomposition(p)
         for x in (*np.geomspace(0.05, 5.0, 11), 0.7, 1.0):  # geometric grid plus the old points
-            closed = closed_form_bulk_j2(p, float(x))
+            closed = dec.bulk_smooth(float(x))
             numeric = oracle_bulk_current(p, float(x))
             ok = ok and abs(numeric - closed) / abs(closed) < 1e-8
     # the (1, -2) profile also equals minus its reflection-dual profile at m < 0
     dual_dec = total_decomposition(ModelParams(-1.0, as_gamma(0.5)))
-    closed = closed_form_bulk_j2(ModelParams(1.0, as_gamma(-2.0)), 1.0)
+    closed = total_decomposition(ModelParams(1.0, as_gamma(-2.0))).bulk_smooth(1.0)
     ok = ok and abs(-dual_dec.bulk_smooth(1.0) - closed) < 1e-14 * abs(closed) + 1e-16
     verdict(7, "bulk closed form vs full numeric pipeline (1e-8)", ok)
 

@@ -171,6 +171,12 @@ def test_oracle_edge_pass(capsys):
                                     "--what", "edge"])
     assert code == 0
     assert out.splitlines()[1].endswith("PASS")
+    # m < 0: the closed form takes the reflection dual itself; at gamma > 0 both sides fill
+    # the same edge states
+    code, out, _ = run_cli(capsys, ["oracle", "--m", "-1", "--gamma", "0.5", "--x", "1",
+                                    "--what", "edge"])
+    assert code == 0
+    assert out.splitlines()[1].endswith(",PASS")
 
 
 @pytest.mark.parametrize("gamma, x", [("1e10", "1"), ("1e16", "0.05")])
@@ -192,7 +198,8 @@ def test_oracle_fail_exit_code(capsys):
 def test_oracle_zero_closed_form_fails(capsys, monkeypatch):
     # a closed form that collapses to 0 is judged against the oracle, not passed on |oracle| < tol
     import edgecurrents.currents
-    monkeypatch.setattr(edgecurrents.currents, "closed_form_edge_j2", lambda p, x: 0.0)
+    monkeypatch.setattr(edgecurrents.currents.CurrentDecomposition, "edge_smooth",
+                        lambda self, x: 0.0)
     code, out, _ = run_cli(capsys, ["oracle", "--m", "2", "--gamma", "0.5", "--x", "5",
                                     "--what", "edge"])
     assert code == 1
@@ -330,6 +337,41 @@ def test_bad_input_is_one_line(capsys, argv, named):
                 if "error:" in line or line.startswith("rejected parameter:")]
     assert len(messages) == 1 and named in messages[0]
     assert code == 2 or err == messages[0] + "\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["profile", "--m", "1", "--gamma", "-1e200", "--points", "3"], 0),
+    (["profile", "--m", "-1e-3", "--gamma", "-2", "--points", "3"], 0),
+    (["spectrum", "--m", "-1e-3", "--gamma", "2", "--points", "5"], 0),
+    (["dual", "--m", "-1e-3", "--gamma", "-.5", "--which", "reflection"], 0),
+    (["oracle", "--m", "1", "--gamma", "2", "--x", "-1e-3", "--what", "edge"], 3),
+    (["constraints", "--gammas", "-0.5,2"], 0),
+    (["constraints", "--solve", "2", "--fix", "-2e0"], 0),
+])
+def test_negative_values_are_values(capsys, argv, code):
+    # a value in exponent form, or a comma list that starts with a negative value, is read
+    # as the option's value, as in the --opt=value form
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(argv)
+    outputs = [run_cli(capsys, a) for a in (argv, joined)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--m", "1", "--gamma", "2", "-q"], "unrecognized arguments: -q"),
+    (["profile", "--m", "-q", "--gamma", "2"], "expected one argument"),
+    (["dual", "--m", "1", "--gamma", "-inf", "--which", "cpt"], "expected one argument"),
+])
+def test_dash_arguments_that_are_no_numbers_stay_options(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_dual_output(capsys):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from edgecurrents import (GAMMA_INFINITY, CptInvariantBoundary, ModelParams, OutOfDomain,
-                          as_gamma, bulk_mode, closed_form_bulk_j2, closed_form_edge_j2,
-                          edge_mode_at_k, edge_velocity, eval_bulk, eval_edge,
+                          as_gamma, bulk_mode, edge_mode_at_k, edge_velocity, eval_bulk, eval_edge,
                           j1_identically_zero_check, partial_fractions, reflection_dual,
                           singular_part, total_decomposition)
 from edgecurrents.currents import _bilinears
@@ -76,7 +75,7 @@ def test_cpt_invariant_boundary_rejected():
     with pytest.raises(CptInvariantBoundary):
         singular_part(p)
     with pytest.raises(CptInvariantBoundary):
-        closed_form_bulk_j2(p, 0.5)
+        total_decomposition(p).bulk_smooth(0.5)
     with pytest.raises(CptInvariantBoundary):
         total_decomposition(p)
 
@@ -101,34 +100,35 @@ def test_partial_fraction_identity_degenerate_gammas(rng):
 
 
 def test_closed_form_domain_errors():
-    p = ModelParams(1.0, as_gamma(2.0))
+    dec = total_decomposition(ModelParams(1.0, as_gamma(2.0)))
     with pytest.raises(OutOfDomain):
-        closed_form_bulk_j2(p, 0.0)
+        dec.bulk_smooth(0.0)
     with pytest.raises(OutOfDomain):
-        closed_form_bulk_j2(ModelParams(-1.0, as_gamma(2.0)), 1.0)
-    with pytest.raises(OutOfDomain):
-        closed_form_edge_j2(p, -0.5)
+        dec.edge_smooth(-0.5)
+    # m < 0 is in the domain: the profiles take the reflection dual themselves
+    neg = total_decomposition(ModelParams(-1.0, as_gamma(2.0)))
+    for f in (neg.bulk_smooth, neg.edge_smooth, neg.total_smooth, neg.regular):
+        assert math.isfinite(f(1.0))
 
 
 def test_closed_forms_accept_arrays():
-    p = ModelParams(1.0, as_gamma(2.0))
+    dec = total_decomposition(ModelParams(1.0, as_gamma(2.0)))
     xs = np.array([[0.3, 0.8], [2.0, 4.0]])
-    bulk = closed_form_bulk_j2(p, xs)
-    edge = closed_form_edge_j2(p, xs)
+    bulk = dec.bulk_smooth(xs)
+    edge = dec.edge_smooth(xs)
     assert bulk.shape == edge.shape == (2, 2)
-    assert bulk[1, 0] == closed_form_bulk_j2(p, 2.0)
-    assert edge[0, 1] == closed_form_edge_j2(p, 0.8)
+    assert bulk[1, 0] == dec.bulk_smooth(2.0)
+    assert edge[0, 1] == dec.edge_smooth(0.8)
     bad = np.array([0.5, 1.0, 0.0])
     with pytest.raises(OutOfDomain):
-        closed_form_bulk_j2(p, bad)
+        dec.bulk_smooth(bad)
     with pytest.raises(OutOfDomain):
-        closed_form_edge_j2(p, -bad)
+        dec.edge_smooth(-bad)
 
 
 def test_closed_form_edge_zero_cases():
-    assert closed_form_edge_j2(ModelParams(1.0, as_gamma(-0.5)), 0.7) == 0.0
-    assert closed_form_edge_j2(ModelParams(1.0, as_gamma(0.0)), 0.7) == 0.0
-    assert closed_form_edge_j2(ModelParams(1.0, GAMMA_INFINITY), 0.7) == 0.0
+    for g in (as_gamma(-0.5), as_gamma(0.0), GAMMA_INFINITY):
+        assert total_decomposition(ModelParams(1.0, g)).edge_smooth(0.7) == 0.0
 
 
 def test_closed_form_edge_small_t_matches_mpmath():
@@ -141,7 +141,7 @@ def test_closed_form_edge_small_t_matches_mpmath():
             g = 2.0 * m * x / t
             if g < 1.001:
                 continue
-            got = closed_form_edge_j2(ModelParams(m, as_gamma(g)), x)
+            got = total_decomposition(ModelParams(m, as_gamma(g))).edge_smooth(x)
             with mp.workdps(360):
                 G, T = mp.mpf(g), 2 * mp.mpf(m) * x / mp.mpf(g)
                 ref = G / (mp.pi * (G * G - 1)) / (2 * mp.mpf(x) ** 2) * (1 - (1 + T) * mp.exp(-T))
@@ -183,7 +183,7 @@ def test_singular_part_mass_independent(rng):
 
 def test_bulk_closed_form_infinite_gamma():
     p = ModelParams(1.0, GAMMA_INFINITY)
-    assert closed_form_bulk_j2(p, 0.5) == 0.0
+    assert total_decomposition(p).bulk_smooth(0.5) == 0.0
     assert singular_part(p).c_log_delta_prime == pytest.approx(-1.0 / (2.0 * math.pi))
     assert singular_part(p).c_delta_prime == 0.0
 
@@ -194,9 +194,11 @@ def test_decomposition_consistency(m, g):
     p = ModelParams(m, as_gamma(g))
     dec = total_decomposition(p)
     x = 0.8
-    if m >= 0:
-        assert dec.bulk_smooth(x) == closed_form_bulk_j2(p, x)
-        assert dec.edge_smooth(x) == closed_form_edge_j2(p, x)
+    # at either sign of m (and at m = 0), every profile is minus the one at the reflection dual
+    dual = total_decomposition(reflection_dual(p))
+    for name in ("bulk_smooth", "edge_smooth", "total_smooth", "regular"):
+        expected = -getattr(dual, name)(x)
+        assert getattr(dec, name)(x) == pytest.approx(expected, rel=1e-14, abs=1e-300)
     # the total is a closed form of its own, so bulk + edge agrees only to roundoff of the parts
     b, e = dec.bulk_smooth(x), dec.edge_smooth(x)
     assert abs(dec.total_smooth(x) - (b + e)) <= 2e-15 * (abs(b) + abs(e))
@@ -207,12 +209,14 @@ def test_decomposition_consistency(m, g):
 
 
 def test_negative_mass_via_reflection():
-    # j^2 at (-m, gamma) equals -j^2 at (m, -1/gamma)
-    p = ModelParams(-1.0, as_gamma(0.5))
-    dec_neg = total_decomposition(p)
-    dec_pos = total_decomposition(ModelParams(1.0, as_gamma(-2.0)))
-    for x in (0.3, 1.0, 2.5, np.geomspace(0.05, 5.0, 9)):
-        assert np.array_equal(dec_neg.bulk_smooth(x), -closed_form_bulk_j2(reflection_dual(p), x))
-        assert np.array_equal(dec_neg.edge_smooth(x), -closed_form_edge_j2(reflection_dual(p), x))
-    for name in ("c_log_delta_prime", "c_delta_prime", "c_inv_x2"):
-        assert getattr(dec_neg.singular, name) == -getattr(dec_pos.singular, name)
+    # j^2 at (-m, gamma) equals -j^2 at (m, -1/gamma); at these gammas -1/gamma is exact, so
+    # the profiles agree bit for bit with those at reflection_dual(p)
+    for g in (2.0, 0.5, -4.0, 0.0, GAMMA_INFINITY):
+        p = ModelParams(-1.3, as_gamma(g))
+        dec_neg, dec_pos = total_decomposition(p), total_decomposition(reflection_dual(p))
+        assert dec_pos.params.m == 1.3
+        for x in (0.3, 1.0, 2.5, np.geomspace(0.05, 5.0, 9)):
+            for name in ("bulk_smooth", "edge_smooth", "total_smooth", "regular"):
+                assert np.array_equal(getattr(dec_neg, name)(x), -getattr(dec_pos, name)(x))
+        for name in ("c_log_delta_prime", "c_delta_prime", "c_inv_x2"):
+            assert getattr(dec_neg.singular, name) == -getattr(dec_pos.singular, name)

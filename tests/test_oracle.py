@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from edgecurrents import (CptInvariantBoundary, ModelParams, NonConvergent, OutOfDomain,
-                          as_gamma, closed_form_bulk_j2, closed_form_edge_j2,
-                          delta_prime_sector_null,
+                          as_gamma, delta_prime_sector_null,
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                          oracle_p3_p4_cancellations)
+                          oracle_p3_p4_cancellations, total_decomposition)
 from edgecurrents import oracle
 
 
@@ -71,7 +70,7 @@ def test_quad_node_budget(monkeypatch):
 def test_oracle_edge_current_matches_closed_form():
     for m, g, x in [(1.0, 2.0, 0.7), (1.0, -2.0, 0.5), (0.5, 0.5, 1.3)]:
         p = ModelParams(m, as_gamma(g))
-        closed = closed_form_edge_j2(p, x)
+        closed = total_decomposition(p).edge_smooth(x)
         numeric = oracle_edge_current(p, x)
         assert numeric == pytest.approx(closed, rel=1e-10)
 
@@ -122,7 +121,7 @@ def test_delta_prime_sector_vanishes_with_damping():
 def test_bulk_oracle_small_x(x):
     # small x needs the ray's panels to scale with 1/x
     p = ModelParams(1.0, as_gamma(2.0))
-    closed = closed_form_bulk_j2(p, x)
+    closed = total_decomposition(p).bulk_smooth(x)
     assert oracle_bulk_current(p, x) == pytest.approx(closed, rel=1e-6)
 
 
@@ -154,10 +153,11 @@ def test_oracle_bulk_rejects_degenerate_parameters():
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
 def test_oracles_reject_x_outside_domain(x):
     p = ModelParams(1.0, as_gamma(2.0))
+    dec = total_decomposition(p)
     for call in (lambda: oracle_edge_current(p, x), lambda: oracle_bulk_current(p, x),
                  lambda: oracle_branch_cut_integral(1.0, x),
                  lambda: delta_prime_sector_null(x, 0.1),
-                 lambda: closed_form_edge_j2(p, x), lambda: closed_form_bulk_j2(p, x)):
+                 lambda: dec.edge_smooth(x), lambda: dec.bulk_smooth(x)):
         with pytest.raises(OutOfDomain):
             call()
 

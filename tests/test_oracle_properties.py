@@ -17,9 +17,9 @@ mp = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma, closed_form_bulk_j2,  # noqa: E402
+from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma,  # noqa: E402
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                          reflection_dual, total_decomposition)
+                          total_decomposition)
 
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -76,7 +76,7 @@ def test_bulk_oracle_matches_closed_form(m, g, x):
     with mp.workdps(50):
         ref = bulk_reference(m, g, x)
         assert abs(oracle_bulk_current(p, x) - ref) <= 1e-8 * abs(ref)
-        assert abs(closed_form_bulk_j2(p, x) - ref) <= 1e-8 * abs(ref)
+        assert abs(total_decomposition(p).bulk_smooth(x) - ref) <= 1e-8 * abs(ref)
 
 
 @fixed_examples
@@ -114,43 +114,52 @@ def test_singular_coefficients_match_mpmath(m, g):
 
 
 def smooth_reference(m, g, x):
-    """(total, regular) at m >= 0 and the size of their exponential terms; g is an mpf or inf.
+    """(bulk, edge, total, regular) at m >= 0 and the size of the exponential terms of the last
+    two; g is an mpf or inf.
 
-    total = bulk + edge from the two references above.  With c = g/(2 pi (g^2-1)),
+    bulk and edge are the two references above, and total = bulk + edge.  With c = g/(2 pi (g^2-1)),
     u = 1/(2x^2), s = 2mx, t = 2mx/g and phi(t) = (1+t) e^{-t} = 1 - psi(t),
     regular = total - c_x2/x^2 = c u [2 psi(t) Theta(g) - psi(s)], which is checked here
     and is exactly 0 at m = 0.  The scales are |c| u [phi(s) + 2 phi(t) Theta(g)] and
     |c| u [psi(s) + 2 psi(t) Theta(g)].
     """
     if mp.isinf(g):
-        return mp.mpf(0), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        return (mp.mpf(0),) * 6
     m, x = mp.mpf(m), mp.mpf(x)
     c, u, s = g / (2 * mp.pi * (g * g - 1)), 1 / (2 * x * x), 2 * m * x
     # psi(t) is the lower incomplete gamma(2, t), without the cancellation of 1 - phi(t)
     psi_s, psi_t = mp.gammainc(2, 0, s), (mp.gammainc(2, 0, s / g) if g > 0 else mp.mpf(0))
     phi_s, phi_t = 1 - psi_s, ((1 - psi_t) if g > 0 else mp.mpf(0))
-    total = bulk_reference(m, g, x) + edge_reference(m, g, x)
+    bulk, edge = bulk_reference(m, g, x), edge_reference(m, g, x)
+    total = bulk + edge
     regular = c * u * (2 * psi_t - psi_s)
     c_x2 = -abs(g) / (4 * mp.pi * (g * g - 1))
     assert abs(total - c_x2 / (x * x) - regular) <= 1e-50 * abs(c) * u
-    return total, regular, abs(c) * u * (phi_s + 2 * phi_t), abs(c) * u * (psi_s + 2 * psi_t)
+    return (bulk, edge, total, regular,
+            abs(c) * u * (phi_s + 2 * phi_t), abs(c) * u * (psi_s + 2 * psi_t))
 
 
 @fixed_examples
 @given(st.sampled_from([1.0, -1.0]), st.floats(0.0, 5.0), projective_gamma, distance)
 @example(1.0, 5.0, 1.2, 5.0)
 @example(1.0, 1.0, 2.0, 50.0)
+@example(-1.0, 1.0, 0.999999, 1.0)
+@example(-1.0, 1.0, 1.000001, 0.5)
 def test_total_and_regular_match_mpmath(sign, m, g, x):
     # within 1e-14 of the size of the exponential terms: the 1/x^2 tails of bulk and edge
-    # cancel in the closed form, not in floats.  At m < 0 each profile is minus the closed
-    # form at reflection_dual(p), whose gamma = -1/g is rounded; the reference is taken at
-    # that gamma, since near |g| = 1 a rounding of gamma alone moves c by ulp/(g^2 - 1)
+    # cancel in the closed form, not in floats.  bulk and edge to 1e-14 of that size plus their
+    # own: e^{-t} carries the rounding of t = 2mx/g, ~t ulp, where it is far below the other terms.
+    # At m < 0 each profile is minus the one at the reflection dual (m, -1/g), taken exactly
     p = ModelParams(sign * m, as_gamma(g))
-    q = p if sign > 0 else reflection_dual(p)
     dec = total_decomposition(p)
     with mp.workdps(60):
-        G = mp.inf if q.gamma.is_infinite else mp.mpf(q.gamma.value)
-        total, regular, total_scale, regular_scale = smooth_reference(m, G, x)
+        if sign > 0:
+            G = mp.inf if g is GAMMA_INFINITY else mp.mpf(g)
+        else:
+            G = mp.mpf(0) if g is GAMMA_INFINITY else mp.inf if g == 0.0 else -1 / mp.mpf(g)
+        bulk, edge, total, regular, total_scale, regular_scale = smooth_reference(m, G, x)
         # 1e-300: where the profiles underflow
         assert abs(dec.total_smooth(x) - sign * total) <= 1e-14 * total_scale + 1e-300
         assert abs(dec.regular(x) - sign * regular) <= 1e-14 * regular_scale + 1e-300
+        for got, ref in ((dec.bulk_smooth(x), bulk), (dec.edge_smooth(x), edge)):
+            assert abs(got - sign * ref) <= 1e-14 * (total_scale + abs(ref)) + 1e-300
