@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--x-max", dest="x_max", type=positive_float, default=5.0)
     pr.add_argument("--points", type=positive_int, default=50)
     pr.add_argument("--lambda", dest="Lambda", type=positive_float, default=None,
-                    help="report the ln(Lambda) delta' coefficient at this cutoff")
+                    help="report the ln(Lambda) delta' coefficient at this rapidity cutoff, "
+                         "|k| <~ Lambda sqrt(l^2+m^2)/2 (see edgecurrents.currents)")
     pr.add_argument("--out", type=str, default=None)
     pr.set_defaults(func=cmd_profile)
 

@@ -14,6 +14,12 @@ sign of m they fill the edge states below -|m|, while oracle.oracle_edge_current
 fills them below E_F = -m; the two differ at m < 0, gamma < 0, where the edge
 branch crosses the gap (ROADMAP item 3).  The singular coefficients depend on
 gamma alone.
+
+The regulator is a cutoff in rapidity along the boundary: the closed forms
+and oracle.oracle_bulk_current sum the bulk modes of transverse momentum l
+over v = exp(arcsinh(k/a)) in (1/Lambda, Lambda), a = sqrt(l^2 + m^2), so
+|k| <~ Lambda a(l)/2.  The coefficient c_log of delta'(x) ln Lambda, and the
+CLI's log_delta_prime_at_Lambda = c_log ln Lambda, refer to this Lambda.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CptInvariantBoundary, OutOfDomain
-from .params import ModelParams, _homogeneous, _singular_coefficients
+from .params import ModelParams, _homogeneous, _nonnegative_mass, _singular_coefficients
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
@@ -122,8 +128,8 @@ class PartialFractionData:
 def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
     """Build the partial-fraction data of -(f/g) dk/E at transverse momentum l."""
     _reject_cpt_invariant(p)
-    if l <= 0:
-        raise OutOfDomain(f"need l > 0, got l={l}")
+    if not 0.0 < l < math.inf:
+        raise OutOfDomain(f"need 0 < l < inf, got l={l}")
     m = p.m
     a = math.sqrt(l * l + m * m)
     ga, gb = _homogeneous(p.gamma)
@@ -161,18 +167,17 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float |
     c_inv_x2/x^2 with c_inv_x2/x^2 = -c u sgn(g), cancel the tails in the
     formula, not in floats: c u [phi(s) - 2 phi(t) Theta(g)] and
     c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at m = 0.  At m < 0 the
-    profile is minus the one at the reflection dual (-m, -1/gamma), whose
-    coordinates (|b|, -a sgn b) are exact; every term is homogeneous of degree
-    0 in (a, b).  Rejects any x outside (0, inf), nan included, and gamma = +-1.
+    profile is minus the one at the exact reflection dual (-m, -1/gamma) of
+    params._nonnegative_mass, as in oracle.oracle_bulk_current; every term is
+    homogeneous of degree 0 in (a, b).  Rejects any x outside (0, inf), nan
+    included, and gamma = +-1.
     """
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < math.inf)
     if not inside.all():
         raise OutOfDomain(f"closed forms need 0 < x < inf, got x={x[~inside].flat[0]}")
     _reject_cpt_invariant(p)
-    m, (a, b) = p.m, _homogeneous(p.gamma)
-    if m < 0:  # (-m, -1/gamma): gamma = 0 maps to (0, 1), which is inf, and inf to (1, -0.0)
-        m, a, b = -m, abs(b), -a if b > 0 else a
+    sign, m, a, b = _nonnegative_mass(p)
     c = a * b / (2.0 * math.pi * ((b - a) * (b + a)))
     u, s = 1.0 / (2.0 * x * x), 2.0 * m * x
     t = s * a / b if b > 0 else None
@@ -189,8 +194,7 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float |
         "total": lambda: bulk_exp() - edge_exp() + 0.0,
         "regular": lambda: (2.0 * c * u * _psi(t) if b > 0 else 0.0) - c * u * _psi(s),
     }
-    out = _as_output(profiles[profile]())
-    return -out if p.m < 0 else out
+    return sign * _as_output(profiles[profile]())
 
 
 def _psi(t):

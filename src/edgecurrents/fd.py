@@ -7,6 +7,8 @@ the whole grid keeps O(h^2) accuracy without ghost points.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import OutOfDomain
@@ -34,8 +36,8 @@ def apply_dirac_fd(field: np.ndarray, p: ModelParams, h: float) -> np.ndarray:
         raise OutOfDomain(f"expected a grid of shape (nx, ny, 2), got {field.shape}")
     if field.shape[0] < 3 or field.shape[1] < 3:
         raise OutOfDomain(f"need at least 3 points per axis, got {field.shape[:2]}")
-    if h <= 0:
-        raise OutOfDomain(f"grid spacing must be positive, got h={h}")
+    if not 0.0 < h < math.inf:
+        raise OutOfDomain(f"grid spacing must be positive and finite, got h={h}")
     dx = _diff(field, h, axis=0)
     dy = _diff(field, h, axis=1)
     out = np.empty_like(field)

@@ -12,7 +12,9 @@ panel edges chosen by the oracle, numpy only.
   and which never meets the branch points +-im of arctan(l/m).  The closed
   forms use the cut discontinuity at phi = pi/2 instead, so the check stays
   independent.  The difference between the rays at phi = 0.4 pi and 0.3 pi
-  is the oracle's own error estimate.
+  is the oracle's own error estimate.  The rays need m >= 0; the bulk
+  takes m < 0 at the exact reflection dual of params._nonnegative_mass,
+  the same one as the closed forms.
 - P3/P4: panels graded in ln v over (1/LAMBDA, LAMBDA) towards the pole v3.
 - delta' sector: the damped l-integral on half-period panels in l.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from .currents import _reject_cpt_invariant, partial_fractions
 from .errors import NonConvergent, OutOfDomain
-from .params import ModelParams, _homogeneous, edge_velocity
+from .params import ModelParams, _homogeneous, _nonnegative_mass, edge_velocity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # Rays of the Abel-limit oracles, and the largest relative difference
@@ -195,10 +197,10 @@ def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
     Ray rule: the Abel limit of int_0^inf 2 Re[ i l * i arctan(l/m) * e^{-2ilx} ] dl
     (ln sqrt((m+il)/(m-il)) = i arctan(l/m) exactly).
     Contour shift to the cut at l = -i m: pi int_m^inf t e^{-2tx} dt
-    = pi e^{-2mx} (m/(2x) + 1/(4x^2)).
+    = pi e^{-2mx} (m/(2x) + 1/(4x^2)), at every m >= 0: pi/(4x^2) at m = 0.
     """
-    if not 0.0 < m < math.inf:
-        raise OutOfDomain(f"branch-cut integral needs 0 < m < inf, got m={m}")
+    if not 0.0 <= m < math.inf:
+        raise OutOfDomain(f"branch-cut integral needs 0 <= m < inf, got m={m}")
     _check_x(x)
     abel, err = _abel_limit(m, x, 0.0, -2.0)
     contour = math.pi * math.exp(-2.0 * m * x) * (m / (2.0 * x) + 1.0 / (4.0 * x * x))
@@ -209,15 +211,17 @@ def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
 def delta_prime_sector_null(x: float, eps: float) -> float:
     """Abel-damped int_0^L_MAX l sin(2lx) e^{-eps l} dl; tends to 0 as eps -> 0 at x > 0.
 
-    Integrated on half-period panels of width <= pi/(2x).
+    Integrated on half-period panels of width <= pi/(2x); needs 0 <= eps < inf.
     """
     _check_x(x)
+    if not 0.0 <= eps < math.inf:
+        raise OutOfDomain(f"the damping needs 0 <= eps < inf, got eps={eps}")
     edges = np.linspace(0.0, L_MAX, math.ceil(2.0 * x * L_MAX / math.pi) + 1)
     return float(quad(lambda l: l * np.sin(2.0 * l * x) * np.exp(-eps * l), edges))
 
 
 def oracle_bulk_current(p: ModelParams, x: float) -> float:
-    """Smooth bulk current at x > 0 from the full numeric pipeline.
+    """Smooth bulk current at x > 0 and any m from the full numeric pipeline.
 
     Steps: drop the odd k/E term; integrate the partial fractions over the
     v-symmetric cutoff range (P1+P2 cancel; P3 and the parts of P4 whose
@@ -225,16 +229,15 @@ def oracle_bulk_current(p: ModelParams, x: float) -> float:
     only feed delta'(x) terms: Re[i l e^{-2ilx}] = l sin(2lx), whose Abel
     limit vanishes at x > 0, see delta_prime_sector_null); take the Abel
     limit of the l-integral of the remaining P4 finite part, the principal
-    arctan(l/m) and the Theta branch term, along the rays.
+    arctan(l/m) and the Theta branch term, along the rays.  At m < 0 the
+    current is minus the one at the exact reflection dual of
+    params._nonnegative_mass, as in the closed forms; at gamma = 0 and inf
+    the coefficient, and so the current, is 0.
     """
     _reject_cpt_invariant(p)
-    a, b = _homogeneous(p.gamma)
-    if a * b == 0.0:
-        raise OutOfDomain("bulk pipeline needs gamma not in {0, inf}")
-    if not 0.0 <= p.m < math.inf:
-        raise OutOfDomain("bulk pipeline is run at m >= 0; use duality for m < 0")
     _check_x(x)
+    sign, m, a, b = _nonnegative_mass(p)
     # i l coeff (i arctan(l/m) - i theta_branch), theta_branch = pi Theta(g^2-1);
     # g/(g^2-1) = ab/(b^2-a^2) in the homogeneous coordinates of params._homogeneous
     coeff = 4.0 * a * b / ((b - a) * (b + a)) / (2.0 * math.pi ** 2)
-    return _abel_limit(p.m, x, coeff * (math.pi if abs(b) > a else 0.0), -coeff)[0]
+    return sign * _abel_limit(m, x, coeff * (math.pi if abs(b) > a else 0.0), -coeff)[0]

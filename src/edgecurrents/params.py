@@ -82,7 +82,10 @@ class ModelParams:
     gamma: ProjectiveReal
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", float(self.m))
+        m = float(self.m)
+        if not math.isfinite(m):
+            raise OutOfDomain(f"the mass must be a finite float, got m={m}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "gamma", as_gamma(self.gamma))
 
     @property
@@ -123,6 +126,20 @@ def _homogeneous(gamma: ProjectiveReal) -> tuple[float, float]:
     if g is None:
         return 0.0, 1.0
     return (1.0, g) if abs(g) <= 1e150 else (1.0 / abs(g), math.copysign(1.0, g))
+
+
+def _nonnegative_mass(p: ModelParams) -> tuple[int, float, float, float]:
+    """(sign, m, a, b) of p at m >= 0, of its reflection dual with sign -1 at m < 0.
+
+    (a, b) are the homogeneous coordinates of _homogeneous.  The dual
+    (-m, -1/gamma) has the coordinates (|b|, -a sgn b), exact and again with
+    a >= 0: gamma = 0 maps to (0, 1), which is inf, and inf to (1, -0.0).  A
+    quantity odd under the dual, such as j^2, is sign times its value there.
+    """
+    a, b = _homogeneous(p.gamma)
+    if p.m < 0:
+        return -1, -p.m, abs(b), -a if b > 0 else a
+    return 1, p.m, a, b
 
 
 def _singular_coefficients(a: float, b: float) -> tuple[float, float, float]:

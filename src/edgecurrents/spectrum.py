@@ -71,8 +71,8 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     phase e^{i phi} = (1 + gamma rho*)/(1 + gamma rho), written as
     (a + b rho*)/(a + b rho) in the homogeneous coordinates of params._homogeneous.
     """
-    if l <= 0:
-        raise OutOfDomain(f"bulk modes need l > 0, got l={l}")
+    if not (0.0 < l < math.inf and math.isfinite(k)):
+        raise OutOfDomain(f"bulk modes need 0 < l < inf and a finite k, got l={l}, k={k}")
     if branch not in ("positive", "negative"):
         raise OutOfDomain(f"branch must be 'positive' or 'negative', got {branch!r}")
     E = math.sqrt(k * k + l * l + p.m * p.m)
@@ -147,8 +147,8 @@ def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
 
     lambda_def = sqrt(mu^2 + k^2 + m^2) and s = i (k + lambda_def)/(m + sign*i*mu).
     """
-    if mu <= 0:
-        raise OutOfDomain(f"deficiency parameter must be positive, got mu={mu}")
+    if not (0.0 < mu < math.inf and math.isfinite(k)):
+        raise OutOfDomain(f"defect modes need 0 < mu < inf and a finite k, got mu={mu}, k={k}")
     if sign not in (1, -1):
         raise OutOfDomain(f"sign must be +1 or -1, got {sign}")
     lam = math.sqrt(mu * mu + k * k + p.m * p.m)

@@ -391,16 +391,26 @@ def test_rejected_parameter_exit_code(capsys):
     ["oracle", "--m", "1", "--x", "0", "--what", "edge"],
     ["oracle", "--m", "1", "--x", "0", "--what", "bulk"],
     ["oracle", "--m", "1", "--x", "0", "--what", "branch-cut"],
-    ["oracle", "--m", "1", "--gamma", "0", "--x", "1", "--what", "bulk"],
-    ["oracle", "--m", "1", "--gamma", "inf", "--x", "1", "--what", "bulk"],
-    ["oracle", "--m", "-1", "--x", "1", "--what", "bulk"],
-    ["oracle", "--m", "0", "--x", "1", "--what", "branch-cut"],
+    ["oracle", "--m", "-1", "--x", "1", "--what", "branch-cut"],
 ])
 def test_oracle_domain_errors_exit_3(capsys, argv):
     # an exception escaping main would be a traceback; every domain error is one line
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith("rejected parameter: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--m", "1", "--gamma", "0", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "1", "--gamma", "inf", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "-1", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "0", "--x", "1", "--what", "branch-cut"],
+])
+def test_oracle_bulk_and_branch_cut_on_the_whole_domain(capsys, argv):
+    # gamma = 0 and inf (0 against 0), m < 0 at the exact reflection dual, and m = 0
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].endswith(",PASS")
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgecurrents import (CptInvariantBoundary, FermionSystem, OutOfDomain,
@@ -178,6 +179,13 @@ def test_solve_system_validation():
         solve_system(2, [2.0, 3.0])
     with pytest.raises(CptInvariantBoundary):
         solve_system(2, [1.0])
+
+
+def test_solve_system_needs_an_integral_n():
+    for n in (2.5, math.nan, math.inf):
+        with pytest.raises(OutOfDomain):
+            solve_system(n, [2.0])
+    assert solve_system(2.0, [2.0]) == solve_system(np.int64(2), [2.0]) == solve_system(2, [2.0])
 
 
 def test_boosted_system():

@@ -6,7 +6,7 @@ import pytest
 from edgecurrents import (CptInvariantBoundary, ModelParams, NonConvergent, OutOfDomain,
                           as_gamma, delta_prime_sector_null,
                           oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                          oracle_p3_p4_cancellations, total_decomposition)
+                          oracle_p3_p4_cancellations, reflection_dual, total_decomposition)
 from edgecurrents import oracle
 
 
@@ -133,6 +133,12 @@ def test_branch_cut_integral_small_x(x):
 def test_branch_cut_integral():
     res = oracle_branch_cut_integral(1.0, 1.0)
     assert res.rel_diff < 1e-4
+    # m = 0: the branch points meet at l = 0 and the contour form is pi/(4x^2)
+    for x in (0.05, 0.3, 1.0, 5.0):
+        res = oracle_branch_cut_integral(0.0, x)
+        exact = math.pi / (4.0 * x * x)
+        assert res.contour_value == pytest.approx(exact, rel=1e-15)
+        assert res.abel_value == pytest.approx(exact, rel=1e-14)
     with pytest.raises(ValueError):
         oracle_branch_cut_integral(-1.0, 1.0)
     with pytest.raises(ValueError):
@@ -142,12 +148,13 @@ def test_branch_cut_integral():
 def test_oracle_bulk_rejects_degenerate_parameters():
     with pytest.raises(CptInvariantBoundary):
         oracle_bulk_current(ModelParams(1.0, as_gamma(1.0)), 0.5)
-    with pytest.raises(ValueError):
-        oracle_bulk_current(ModelParams(1.0, as_gamma(0.0)), 0.5)
-    with pytest.raises(ValueError):
-        oracle_bulk_current(ModelParams(1.0, as_gamma("inf")), 0.5)
-    with pytest.raises(ValueError):
-        oracle_bulk_current(ModelParams(-1.0, as_gamma(2.0)), 0.5)
+    # gamma = 0 and inf: the coefficient vanishes, and with it the current, at either sign of m
+    for m in (1.0, -1.0):
+        for g in (0.0, "inf"):
+            assert oracle_bulk_current(ModelParams(m, as_gamma(g)), 0.5) == 0.0
+    # m < 0 runs at the reflection dual, exactly here: -1/2 is a float
+    p = ModelParams(-1.0, as_gamma(2.0))
+    assert oracle_bulk_current(p, 0.5) == -oracle_bulk_current(reflection_dual(p), 0.5)
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])

@@ -1,8 +1,9 @@
 """Property-based checks of every oracle against its closed form over the documented domain.
 
 The closed forms are evaluated at 50 digits with mpmath, so each bound below
-is the oracle's own accuracy: m in {0} u [0.01, 2], x in [0.05, 5], gamma
-across the projective line, |gamma| from 1e-300 to 1e300 and down to 1e-3 from +-1.
+is the oracle's own accuracy: m in {0} u [0.01, 2] (and its negative for the bulk),
+x in [0.05, 5], gamma across the projective line, |gamma| from 1e-300 to 1e300 and
+down to 1e-3 from +-1.
 The singular coefficients, the total and the regular part are checked the
 same way, at 60 digits.
 """
@@ -67,14 +68,21 @@ def test_edge_oracle_matches_closed_form(m, g, x):
 
 
 @fixed_examples
-@given(mass, finite_gamma, distance)
-@example(1.0, 1e154, 0.7)
-@example(1.0, 1e200, 0.7)
-@example(0.0, -1e200, 0.7)
-def test_bulk_oracle_matches_closed_form(m, g, x):
-    p = ModelParams(m, as_gamma(g))
+@given(st.sampled_from([1.0, -1.0]), mass, projective_gamma, distance)
+@example(1.0, 1.0, 1e154, 0.7)
+@example(1.0, 1.0, 1e200, 0.7)
+@example(1.0, 0.0, -1e200, 0.7)
+@example(-1.0, 1.0, 2.0, 1.0)
+@example(-1.0, 1.0, 0.0, 0.7)
+@example(1.0, 1.0, GAMMA_INFINITY, 0.7)
+def test_bulk_oracle_matches_closed_form(sign, m, g, x):
+    # 0 at gamma = 0 and inf; at m < 0 minus the reference at the reflection dual -1/g, exactly
+    p = ModelParams(sign * m, as_gamma(g))
     with mp.workdps(50):
-        ref = bulk_reference(m, g, x)
+        if g is GAMMA_INFINITY or g == 0.0:
+            ref = mp.mpf(0)
+        else:
+            ref = sign * bulk_reference(m, mp.mpf(g) if sign > 0 else -1 / mp.mpf(g), x)
         assert abs(oracle_bulk_current(p, x) - ref) <= 1e-8 * abs(ref)
         assert abs(total_decomposition(p).bulk_smooth(x) - ref) <= 1e-8 * abs(ref)
 

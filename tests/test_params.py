@@ -47,6 +47,12 @@ def test_model_params():
     assert not ModelParams(1.0, GAMMA_INFINITY).is_cpt_invariant_bc
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+def test_model_params_rejects_non_finite_mass(m):
+    with pytest.raises(OutOfDomain):
+        ModelParams(m, as_gamma(0.5))
+
+
 def test_edge_velocity_values():
     assert edge_velocity(2.0) == pytest.approx(0.8)
     assert edge_velocity(1.0) == 1.0

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from edgecurrents import (GAMMA_INFINITY, ModelParams, OutOfDomain, apply_dirac_fd, as_gamma,
-                          bulk_mode, defect_mode, edge_conductivity, edge_dispersion,
-                          edge_mode_at_k, edge_velocity, eigen_residual, eval_bulk, eval_defect,
-                          eval_edge, gap_crossing, richardson_residual, sample_on_grid)
+                          bulk_mode, defect_mode, delta_prime_sector_null, edge_conductivity,
+                          edge_dispersion, edge_mode_at_k, edge_velocity, eigen_residual,
+                          eval_bulk, eval_defect, eval_edge, gap_crossing,
+                          oracle_p3_p4_cancellations, partial_fractions, richardson_residual,
+                          sample_on_grid)
 from edgecurrents.currents import _bilinears
 from edgecurrents.oracle import quad
 from conftest import random_gamma
@@ -89,7 +91,30 @@ def test_edge_mode_disappears():
 
 def test_edge_mode_nan_decay_rate_is_no_mode():
     assert edge_mode_at_k(ModelParams(1.0, as_gamma(2.0)), math.nan) is None
-    assert edge_mode_at_k(ModelParams(math.nan, as_gamma(2.0)), 0.0) is None
+    with pytest.raises(OutOfDomain):  # a nan mass is rejected where it is made
+        ModelParams(math.nan, as_gamma(2.0))
+
+
+P_GENERIC = ModelParams(1.0, as_gamma(2.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bulk_mode(P_GENERIC, math.nan, 0.5),
+    lambda: bulk_mode(P_GENERIC, math.inf, 0.5),
+    lambda: bulk_mode(P_GENERIC, 1.0, math.nan),
+    lambda: bulk_mode(P_GENERIC, 1.0, math.inf),
+    lambda: partial_fractions(P_GENERIC, math.nan),
+    lambda: oracle_p3_p4_cancellations(P_GENERIC, math.nan),
+    lambda: defect_mode(P_GENERIC, math.nan, 0.5, 1),
+    lambda: defect_mode(P_GENERIC, 1.0, math.inf, 1),
+    lambda: apply_dirac_fd(np.zeros((5, 5, 2)), P_GENERIC, math.nan),
+    lambda: delta_prime_sector_null(1.0, -1.0),
+    lambda: delta_prime_sector_null(1.0, math.nan),
+])
+def test_nan_and_out_of_range_arguments_are_out_of_domain(call):
+    # written as "not 0 < v < inf": a "v <= 0" check lets nan through to nan arrays
+    with pytest.raises(OutOfDomain):
+        call()
 
 
 def float_bits(v: float) -> bytes:
@@ -100,7 +125,7 @@ def float_bits(v: float) -> bytes:
 def test_edge_dispersion_array_is_the_float_formula_bit_for_bit(g):
     # the CLI table evaluates one array; each element must be what edge_mode_at_k gives
     ks = np.concatenate([np.linspace(-3.0, 3.0, 61), [-0.0, 5e-324, -1e300, 1e300, math.nan]])
-    for m in (1.0, 0.0, -1.0, 0.2, 1e300, math.nan):
+    for m in (1.0, 0.0, -1.0, 0.2, 1e300):  # ModelParams rejects a nan mass
         p = ModelParams(m, as_gamma(g))
         with np.errstate(over="ignore", invalid="ignore"):
             E, lam = edge_dispersion(p, ks)
