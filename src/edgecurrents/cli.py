@@ -19,8 +19,8 @@ import sys
 
 from .errors import EdgeCurrentsError, NonConvergent, OutOfDomain
 from .multifermion import FermionSystem, residuals, solve_system
-from .params import (ModelParams, ProjectiveReal, as_gamma, boundary_character, cpt_dual,
-                     halfplane_dual, reflection_dual)
+from .params import (ModelParams, ProjectiveReal, _reject_cpt_invariant, as_gamma,
+                     boundary_character, cpt_dual, halfplane_dual, reflection_dual)
 
 EXIT_ORACLE_FAIL = 1
 EXIT_REJECTED = 3
@@ -65,11 +65,11 @@ def _write(path: str | None, text: str, stream=None) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    import numpy as np
-    from .spectrum import edge_conductivity, edge_dispersion
     p = ModelParams(args.m, args.gamma)
     if not math.isfinite(args.k_max - args.k_min):  # np.linspace would step by inf
         raise OutOfDomain(f"the k span overflows, got k_min={args.k_min}, k_max={args.k_max}")
+    import numpy as np  # after the checks: a rejected input loads no numpy
+    from .spectrum import edge_conductivity, edge_dispersion
     ch = boundary_character(p.gamma)
     lines = [
         f"# v_edge={_fmt(ch.v_edge)}",
@@ -89,9 +89,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    import numpy as np
-    from .currents import total_decomposition
     p = ModelParams(args.m, args.gamma)
+    _reject_cpt_invariant(p)
+    import numpy as np  # after the check: gamma = +-1 loads no numpy
+    from .currents import total_decomposition
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf, nan at extreme x
@@ -116,23 +117,27 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    import numpy as np
     from .currents import total_decomposition
     from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
     p, x = ModelParams(args.m, args.gamma), args.x
-    try:
-        if args.what == "edge":
-            name, tol = "edge_j2", 1e-8
-            closed, numeric = total_decomposition(p).edge_smooth(x), oracle_edge_current(p, x)
-        elif args.what == "bulk":
-            name, tol = "bulk_j2", 1e-2
-            closed, numeric = total_decomposition(p).bulk_smooth(x), oracle_bulk_current(p, x)
-        else:  # branch-cut
-            name, tol = "branch_cut", 1e-4
-            res = oracle_branch_cut_integral(p.m, x)
-            closed, numeric = res.contour_value, res.abel_value
-    except NonConvergent as exc:
-        print(f"FAIL non-convergent: {exc}")
-        return EXIT_ORACLE_FAIL
+    # the closed form, evaluated first, is inf or nan where 1/x^2 overflows, which the oracle
+    # rejects; where x^2 overflows, 1/x^2 is its right 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.what == "edge":
+                name, tol = "edge_j2", 1e-8
+                closed, numeric = total_decomposition(p).edge_smooth(x), oracle_edge_current(p, x)
+            elif args.what == "bulk":
+                name, tol = "bulk_j2", 1e-2
+                closed, numeric = total_decomposition(p).bulk_smooth(x), oracle_bulk_current(p, x)
+            else:  # branch-cut
+                name, tol = "branch_cut", 1e-4
+                res = oracle_branch_cut_integral(p.m, x)
+                closed, numeric = res.contour_value, res.abel_value
+        except NonConvergent as exc:
+            print(f"FAIL non-convergent: {exc}")
+            return EXIT_ORACLE_FAIL
     dev = abs(closed - numeric)
     # a deviation below the normal range is roundoff, and a zero closed form admits none
     rel = 0.0 if dev < sys.float_info.min else (dev / abs(closed) if closed else math.inf)

@@ -25,13 +25,13 @@ CLI's log_delta_prime_at_Lambda = c_log ln Lambda, refer to this Lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CptInvariantBoundary, OutOfDomain
-from .params import ModelParams, _homogeneous, _nonnegative_mass, _singular_coefficients
+from .errors import OutOfDomain
+from .params import (ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant,
+                     _singular_coefficients)
 from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
@@ -44,11 +44,6 @@ def _as_output(a):
     """A 0-d result as a Python float; arrays pass through."""
     a = np.asarray(a)
     return a if a.ndim else float(a)
-
-
-def _reject_cpt_invariant(p: ModelParams) -> None:
-    if p.is_cpt_invariant_bc:
-        raise CptInvariantBoundary("current densities are not defined at gamma = +-1")
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +76,7 @@ def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PartialFractionData:
+class PartialFractionData(NamedTuple):
     """Terms of the partial-fraction expansion of -(f/g) dk/E in the variable v.
 
     P1 = a/2, P2 = -(a/2) v^-2, P3 = il (gamma+1)/(gamma-1) v^-1 and
@@ -145,8 +139,7 @@ def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
 # closed forms and the singular/regular decomposition
 
 
-@dataclass(frozen=True)
-class SingularPart:
+class SingularPart(NamedTuple):
     """Distributional coefficients of <j^2>: delta'(x) ln Lambda, delta'(x), 1/x^2."""
 
     c_log_delta_prime: float
@@ -217,8 +210,7 @@ def singular_part(p: ModelParams) -> SingularPart:
     return SingularPart(*_singular_coefficients(*_homogeneous(p.gamma)))
 
 
-@dataclass(frozen=True)
-class CurrentDecomposition:
+class CurrentDecomposition(NamedTuple):
     """<j^2(x)> split into singular coefficients and smooth profiles.
 
     total_smooth(x) = bulk_smooth(x) + edge_smooth(x) and regular(x) =

@@ -11,27 +11,26 @@ boosts transparent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product, takewhile
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CptInvariantBoundary, OutOfDomain
-from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _gamma_from_ratio,
-                     _homogeneous, _is_unit, _singular_coefficients, as_gamma, boost,
-                     boundary_character)
+from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _checked_make,
+                     _gamma_from_ratio, _homogeneous, _is_unit, _singular_coefficients, as_gamma,
+                     boost, boundary_character)
 
 
-@dataclass(frozen=True)
-class FermionSystem:
+class FermionSystem(NamedTuple("_FermionSystem", [("gammas", tuple[ProjectiveReal, ...])])):
     """N fermion species, one boundary parameter each."""
 
-    gammas: tuple[ProjectiveReal, ...]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        coerced = tuple(as_gamma(g) for g in self.gammas)
+    def __new__(cls, gammas: Iterable[GammaLike]) -> "FermionSystem":
+        coerced = tuple(as_gamma(g) for g in gammas)
         if any(map(_is_unit, coerced)):
             raise CptInvariantBoundary("residuals are undefined at gamma = +-1")
-        object.__setattr__(self, "gammas", coerced)
+        return super().__new__(cls, coerced)
 
     @property
     def characters(self) -> tuple[BoundaryCharacter, ...]:
@@ -67,8 +66,7 @@ def _negligible(scale: float, a: float, b: float) -> bool:
     return abs(a) < bound and abs(b) < bound
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """The three gamma-form residual sums, the two rapidity-form sums and their scale.
 
     r_plus = sum eta_n e^{|theta_n|} and r_minus = sum eta_n e^{-|theta_n|}
@@ -119,8 +117,7 @@ def conjugate_pair(gamma: GammaLike) -> FermionSystem:
     return FermionSystem((g, g.inv().neg()))
 
 
-@dataclass(frozen=True)
-class BoostScanEntry:
+class BoostScanEntry(NamedTuple):
     chi: float
     cancels: bool
     velocity_signs_preserved: bool

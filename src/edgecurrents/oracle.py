@@ -23,15 +23,28 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from .currents import _reject_cpt_invariant, partial_fractions
+from .currents import partial_fractions
 from .errors import NonConvergent, OutOfDomain
-from .params import ModelParams, _homogeneous, _nonnegative_mass, edge_velocity
+from .params import (ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant,
+                     edge_velocity)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# np.polynomial.legendre.leggauss(24), written out: the rule is exactly symmetric, so the
+# 12 positive nodes and their weights, mirrored, are its arrays bit for bit
+_GL_HALF_NODES = (0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+                  0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+                  0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+                  0.9382745520027328, 0.9747285559713095, 0.9951872199970213)
+_GL_HALF_WEIGHTS = (0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+                    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+                    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+                    0.04427743881741941, 0.02853138862893356, 0.01234122979998869)
+_GL_NODES = np.array([-v for v in _GL_HALF_NODES[::-1]] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 # Rays of the Abel-limit oracles, and the largest relative difference
 # between their two values that still counts as converged.
 _RAY_ANGLES = (0.4 * math.pi, 0.3 * math.pi)
@@ -69,6 +82,8 @@ def _graded_edges(start: float, stop: float, first: float) -> np.ndarray:
 def _check_x(x: float) -> None:
     if not 0.0 < x < math.inf:
         raise OutOfDomain(f"oracles need 0 < x < inf, got x={x}")
+    if not x * x * sys.float_info.max >= 1.0:  # 1/x^2, in every closed form, overflows
+        raise OutOfDomain(f"oracles need a finite 1/x^2, got x={x}")
 
 
 def _abel_limit(m: float, x: float, a: float, b: float) -> tuple[float, float]:
@@ -124,8 +139,7 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     return edge_velocity(p.gamma) * dk_du / math.pi * total
 
 
-@dataclass(frozen=True)
-class P3P4Report:
+class P3P4Report(NamedTuple):
     """Outcome of the symmetric-cancellation and log-antiderivative checks."""
 
     symmetric_residual: float
@@ -177,8 +191,7 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:
     )
 
 
-@dataclass(frozen=True)
-class BranchCutResult:
+class BranchCutResult(NamedTuple):
     """Ray-rule Abel limit vs the contour-shift elementary form.
 
     abel_value is the Abel limit, evaluated on the ray at 0.4 pi;

@@ -9,41 +9,47 @@ signature, rapidity) and the discrete duality maps live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
-from .errors import BoostUndefined, OutOfDomain
+from .errors import BoostUndefined, CptInvariantBoundary, OutOfDomain
 
 GammaLike = Union["ProjectiveReal", float, int, str]
 
 
-@dataclass(frozen=True)
-class ProjectiveReal:
+def _checked_make(cls, iterable):
+    """NamedTuple._make through cls(...): neither it nor _replace skips the checks of __new__."""
+    return cls(*iterable)
+
+
+class ProjectiveReal(NamedTuple("_ProjectiveReal", [("value", float | None)])):
     """A point of the projective real line; ``value is None`` encodes infinity."""
 
-    value: float | None = None
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            v = float(self.value)
-            if math.isnan(v) or math.isinf(v):
+    def __new__(cls, value: float | None = None) -> "ProjectiveReal":
+        if value is not None:
+            value = float(value)
+            if math.isnan(value) or math.isinf(value):
                 raise OutOfDomain(
                     "finite projective values must be finite floats; "
                     "use ProjectiveReal() for the point at infinity"
                 )
-            object.__setattr__(self, "value", v)
+        return super().__new__(cls, value)
 
     @property
     def is_infinite(self) -> bool:
         return self.value is None
 
     def inv(self) -> "ProjectiveReal":
-        """Projective inversion: inv(0) = inf, inv(inf) = 0."""
+        """Projective inversion: inv(0) = inf, inv(inf) = 0; OutOfDomain if 1/gamma overflows."""
         if self.is_infinite:
             return ProjectiveReal(0.0)
         if self.value == 0.0:
             return ProjectiveReal()
-        return ProjectiveReal(1.0 / self.value)
+        if math.isinf(inv := 1.0 / self.value):
+            raise OutOfDomain(f"1/gamma overflows at gamma={self.value!r}")
+        return ProjectiveReal(inv)
 
     def neg(self) -> "ProjectiveReal":
         """Projective negation; -inf = inf."""
@@ -74,19 +80,17 @@ def as_gamma(g: GammaLike) -> ProjectiveReal:
     return ProjectiveReal(float(g))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("_ModelParams", [("m", float), ("gamma", ProjectiveReal)])):
     """One fermion species: mass m and boundary parameter gamma."""
 
-    m: float
-    gamma: ProjectiveReal
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        m = float(self.m)
+    def __new__(cls, m: float, gamma: GammaLike) -> "ModelParams":
+        m = float(m)
         if not math.isfinite(m):
             raise OutOfDomain(f"the mass must be a finite float, got m={m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "gamma", as_gamma(self.gamma))
+        return super().__new__(cls, m, as_gamma(gamma))
 
     @property
     def is_cpt_invariant_bc(self) -> bool:
@@ -94,8 +98,7 @@ class ModelParams:
         return _is_unit(self.gamma)
 
 
-@dataclass(frozen=True)
-class BoundaryCharacter:
+class BoundaryCharacter(NamedTuple):
     """Edge velocity, signature eta, rapidity theta and epsilon = sgn(v_edge).
 
     ``eta is None`` marks the undefined signature at gamma = +-1, where
@@ -112,6 +115,11 @@ class BoundaryCharacter:
 def _is_unit(gamma: ProjectiveReal) -> bool:
     """True exactly at gamma = +-1."""
     return not gamma.is_infinite and abs(gamma.value) == 1.0
+
+
+def _reject_cpt_invariant(p: ModelParams) -> None:
+    if p.is_cpt_invariant_bc:
+        raise CptInvariantBoundary("current densities are not defined at gamma = +-1")
 
 
 def _homogeneous(gamma: ProjectiveReal) -> tuple[float, float]:

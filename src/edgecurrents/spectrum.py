@@ -10,7 +10,7 @@ normalization conventions that the current-density module relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def _spinor(shape: tuple[int, ...], c1: np.ndarray, c2: np.ndarray) -> np.ndarra
     return np.stack(np.broadcast_arrays(c1, c2), axis=-1).reshape(*shape, 2)
 
 
-@dataclass(frozen=True)
-class BulkMode:
+class BulkMode(NamedTuple):
     """Scattering mode: momenta (l, k), energy branch E, amplitude rho, phase e^{i phi}."""
 
     l: float
@@ -44,8 +43,7 @@ class BulkMode:
     phase: complex
 
 
-@dataclass(frozen=True)
-class EdgeMode:
+class EdgeMode(NamedTuple):
     """Edge mode at longitudinal momentum k with energy E and decay rate lam > 0."""
 
     k: float
@@ -53,8 +51,7 @@ class EdgeMode:
     lam: float
 
 
-@dataclass(frozen=True)
-class DefectMode:
+class DefectMode(NamedTuple):
     """Adjoint eigenfunction e^{-lambda x + i k y} (1, s) with eigenvalue sign*i*mu."""
 
     mu: float

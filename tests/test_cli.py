@@ -320,6 +320,8 @@ def test_oracle_usage_errors(capsys, extra):
     # finite ends whose span k_max - k_min overflows
     (["spectrum", "--m", "1", "--gamma", "2", "--k-min", "1.7976931348623157e308",
       "--k-max=-1.7976931348623157e308", "--points", "5"], "k_min=1.7976931348623157e+308"),
+    # a finite gamma whose inverse overflows
+    (["dual", "--m", "1", "--gamma", "1e-320", "--which", "reflection"], "1/gamma overflows"),
 ])
 def test_bad_input_is_one_line(capsys, argv, named):
     # an exception escaping main would be a traceback, and any warning fails here
@@ -392,6 +394,11 @@ def test_rejected_parameter_exit_code(capsys):
     ["oracle", "--m", "1", "--x", "0", "--what", "bulk"],
     ["oracle", "--m", "1", "--x", "0", "--what", "branch-cut"],
     ["oracle", "--m", "-1", "--x", "1", "--what", "branch-cut"],
+    # 1/x^2 overflows: 4 x^2 underflowed to 0 and raised ZeroDivisionError, or inf and nan FAILed
+    ["oracle", "--m", "1", "--x", "1e-200", "--what", "branch-cut"],
+    ["oracle", "--m", "1", "--x", "1e-160", "--what", "edge"],
+    ["oracle", "--m", "1", "--x", "1e-160", "--what", "bulk"],
+    ["oracle", "--m", "1", "--x", "1e-160", "--what", "branch-cut"],
 ])
 def test_oracle_domain_errors_exit_3(capsys, argv):
     # an exception escaping main would be a traceback; every domain error is one line
@@ -405,9 +412,12 @@ def test_oracle_domain_errors_exit_3(capsys, argv):
     ["oracle", "--m", "1", "--gamma", "inf", "--x", "1", "--what", "bulk"],
     ["oracle", "--m", "-1", "--x", "1", "--what", "bulk"],
     ["oracle", "--m", "0", "--x", "1", "--what", "branch-cut"],
+    ["oracle", "--m", "1", "--x", "1e300", "--what", "bulk"],
+    ["oracle", "--m", "1", "--x", "1e300", "--what", "edge"],
 ])
 def test_oracle_bulk_and_branch_cut_on_the_whole_domain(capsys, argv):
-    # gamma = 0 and inf (0 against 0), m < 0 at the exact reflection dual, and m = 0
+    # gamma = 0 and inf (0 against 0), m < 0 at the exact reflection dual, and m = 0; at
+    # x = 1e300, where x^2 overflows, 0 against 0 without numpy's RuntimeWarning
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     assert out.splitlines()[1].endswith(",PASS")
@@ -438,7 +448,8 @@ def test_stdout_determinism(capsys):
 
 
 def test_import_skips_scipy():
-    # every oracle kind runs on numpy alone: no scipy module is ever loaded
+    # every oracle kind runs on numpy alone: no scipy module is ever loaded, and the
+    # Gauss-Legendre rule is constants, not numpy.polynomial
     argvs = [["oracle", "--m", "1", "--gamma", "2", "--x", "0.7", "--what", "edge"],
              ["oracle", "--m", "1", "--gamma", "2", "--x", "1.0", "--what", "bulk"],
              ["oracle", "--m", "1", "--x", "1.0", "--what", "branch-cut"]]
@@ -446,7 +457,8 @@ def test_import_skips_scipy():
               "from edgecurrents.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    codes = [main(a) for a in {argvs!r}]\n"
-              "print(codes, sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+              "print(codes, sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'\n"
+              "                    or n.startswith('numpy.polynomial')))\n")
     res = run_fresh(["-c", script])
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[0, 0, 0] []\n"
@@ -460,7 +472,7 @@ def modules_after_main(argvs):
               "with contextlib.redirect_stdout(io.StringIO()), "
               "contextlib.redirect_stderr(io.StringIO()):\n"
               f"    codes = [main(a.split()) for a in {argvs!r}]\n"
-              "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd')\n"
+              "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd', 'dataclasses')\n"
               "print(codes, [n for n in heavy if n in sys.modules])\n")
     res = run_fresh(["-c", script])
     assert res.returncode == 0, res.stderr
@@ -468,9 +480,13 @@ def modules_after_main(argvs):
 
 
 def test_scalar_subcommands_skip_numpy():
-    # constraints and dual are math on a few gammas; spectrum and profile load no oracle or fd
+    # constraints and dual are math on a few gammas, and spectrum and profile reject before
+    # numpy; spectrum and profile load no oracle or fd, and no subcommand loads dataclasses
     assert modules_after_main(["constraints --gammas 2,-0.5", "constraints --solve 2 --fix 2",
-                               "dual --m 1 --gamma 0 --which reflection"]) == "[0, 0, 0] []\n"
+                               "dual --m 1 --gamma 0 --which reflection",
+                               "profile --m 1 --gamma 1",
+                               "spectrum --m 1 --gamma 2 --k-min -1e308 --k-max 1e308"]
+                              ) == "[0, 0, 0, 3, 3] []\n"
     assert modules_after_main(["spectrum --m 1 --gamma 2 --points 5",
                                "profile --m 1 --gamma 2 --points 5"]) == "[0, 0] ['numpy']\n"
 

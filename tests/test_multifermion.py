@@ -54,6 +54,8 @@ def test_conjugate_pair_degenerate():
     for g in (0.0, 1.0, -1.0, "inf"):
         with pytest.raises(OutOfDomain):
             conjugate_pair(g)
+    with pytest.raises(OutOfDomain, match="1/gamma overflows"):
+        conjugate_pair(1e-320)
 
 
 def test_cpt_pair_cancels(rng):

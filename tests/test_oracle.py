@@ -21,6 +21,12 @@ def test_quad_exact_for_polynomials():
     assert abs(oracle.quad(lambda t: t ** 48, [-1.0, 1.0]) - 2.0 / 49.0) > 1e-16
 
 
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert oracle._GL_NODES.tobytes() == nodes.tobytes()
+    assert oracle._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_quad_known_value():
     # int_0^inf cos(2 l x) e^{-eps l} dl = eps / (eps^2 + 4 x^2) on half-period panels;
     # fn is called once, on the array of all nodes
@@ -166,6 +172,17 @@ def test_oracles_reject_x_outside_domain(x):
                  lambda: delta_prime_sector_null(x, 0.1),
                  lambda: dec.edge_smooth(x), lambda: dec.bulk_smooth(x)):
         with pytest.raises(OutOfDomain):
+            call()
+
+
+@pytest.mark.parametrize("x", [1e-160, 1e-200, 5e-324])
+def test_oracles_reject_x_where_the_inverse_square_overflows(x):
+    # 1/x^2 is inf below x ~ 7.5e-155 (or x^2 is 0): inf and nan instead of a check
+    p = ModelParams(1.0, as_gamma(2.0))
+    for call in (lambda: oracle_edge_current(p, x), lambda: oracle_bulk_current(p, x),
+                 lambda: oracle_branch_cut_integral(1.0, x),
+                 lambda: delta_prime_sector_null(x, 0.1)):
+        with pytest.raises(OutOfDomain, match="finite 1/x"):
             call()
 
 

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from edgecurrents import (GAMMA_INFINITY, BoostUndefined, ModelParams, OutOfDomain,
-                          ProjectiveReal, as_gamma, boost, boundary_character, cpt_dual,
-                          edge_velocity, halfplane_dual, reflection_dual)
+from edgecurrents import (GAMMA_INFINITY, BoostUndefined, CptInvariantBoundary, FermionSystem,
+                          ModelParams, OutOfDomain, ProjectiveReal, as_gamma, boost,
+                          boundary_character, cpt_dual, edge_velocity, halfplane_dual,
+                          reflection_dual)
 from conftest import random_gamma
 
 
@@ -32,6 +33,13 @@ def test_projective_inv_neg():
     assert float(g) == 2.0
 
 
+def test_projective_inv_overflow_names_it():
+    # gamma is finite; its inverse is not
+    for g in (1e-320, -5e-324):
+        with pytest.raises(OutOfDomain, match="1/gamma overflows"):
+            ProjectiveReal(g).inv()
+
+
 def test_as_gamma_coercion():
     assert as_gamma("inf").is_infinite
     assert as_gamma("Infinity").is_infinite
@@ -51,6 +59,26 @@ def test_model_params():
 def test_model_params_rejects_non_finite_mass(m):
     with pytest.raises(OutOfDomain):
         ModelParams(m, as_gamma(0.5))
+
+
+def test_records_validate_and_are_immutable():
+    p = ModelParams(1, 2)
+    assert repr(p) == "ModelParams(m=1.0, gamma=ProjectiveReal(2.0))"
+    assert p._replace(gamma="inf") == ModelParams(1.0, GAMMA_INFINITY)
+    # _replace and _make run the constructors' checks
+    with pytest.raises(OutOfDomain):
+        p._replace(m=math.nan)
+    with pytest.raises(OutOfDomain):
+        ProjectiveReal._make([math.inf])
+    with pytest.raises(CptInvariantBoundary):
+        FermionSystem._make([[1.0]])
+    assert FermionSystem._make([[2, "inf"]]).gammas == (ProjectiveReal(2.0), GAMMA_INFINITY)
+    for record, field in ((p, "m"), (p.gamma, "value"), (boundary_character(2.0), "eta"),
+                          (FermionSystem([2.0]), "gammas")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.other = 0.0
 
 
 def test_edge_velocity_values():
