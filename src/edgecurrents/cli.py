@@ -119,11 +119,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     import numpy as np
     from .currents import total_decomposition
-    from .oracle import oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current
+    from .oracle import (_rel_dev, oracle_branch_cut_integral, oracle_bulk_current,
+                         oracle_edge_current)
     p, x = ModelParams(args.m, args.gamma), args.x
-    # the closed form, evaluated first, is inf or nan where 1/x^2 overflows, which the oracle
-    # rejects; where x^2 overflows, 1/x^2 is its right 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the closed form, evaluated first, is inf or nan where 1/x^2 overflows or x^2 underflows
+    # to 0, which the oracle rejects; where x^2 overflows, 1/x^2 is its right 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
             if args.what == "edge":
                 name, tol = "edge_j2", 1e-8
@@ -138,9 +139,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         except NonConvergent as exc:
             print(f"FAIL non-convergent: {exc}")
             return EXIT_ORACLE_FAIL
-    dev = abs(closed - numeric)
-    # a deviation below the normal range is roundoff, and a zero closed form admits none
-    rel = 0.0 if dev < sys.float_info.min else (dev / abs(closed) if closed else math.inf)
+    dev, rel = abs(closed - numeric), _rel_dev(closed, numeric)
     ok = rel < (tol if args.tol is None else args.tol)
     verdict = "PASS" if ok else "FAIL"
     print("quantity,closed_form,oracle,abs_dev,rel_dev,verdict")
@@ -200,19 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Half-plane fermion boundary spectra and edge currents "
                     "(natural units hbar = c = 1; conductivity in e^2/h).")
     sub = ap.add_subparsers(dest="command", required=True)
+    # (m, gamma) of spectrum, profile and dual, first in each; oracle defaults gamma to 2
+    species = argparse.ArgumentParser(add_help=False)
+    species.add_argument("--m", type=finite_float, required=True)
+    species.add_argument("--gamma", type=as_gamma, required=True)
 
-    sp = sub.add_parser("spectrum", help="edge dispersion table")
-    sp.add_argument("--m", type=finite_float, required=True)
-    sp.add_argument("--gamma", type=as_gamma, required=True)
+    sp = sub.add_parser("spectrum", parents=[species], help="edge dispersion table")
     sp.add_argument("--k-min", dest="k_min", type=finite_float, default=-2.0)
     sp.add_argument("--k-max", dest="k_max", type=finite_float, default=2.0)
     sp.add_argument("--points", type=positive_int, default=41)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
-    pr = sub.add_parser("profile", help="current-density profile (geometric x grid)")
-    pr.add_argument("--m", type=finite_float, required=True)
-    pr.add_argument("--gamma", type=as_gamma, required=True)
+    pr = sub.add_parser("profile", parents=[species],
+                        help="current-density profile (geometric x grid)")
     pr.add_argument("--x-min", dest="x_min", type=positive_float, default=0.1)
     pr.add_argument("--x-max", dest="x_max", type=positive_float, default=5.0)
     pr.add_argument("--points", type=positive_int, default=50)
@@ -236,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--fix", type=gamma_list, default=(), help="comma list of pinned gammas")
     co.set_defaults(func=cmd_constraints)
 
-    du = sub.add_parser("dual", help="apply a duality map to (m, gamma)")
-    du.add_argument("--m", type=finite_float, required=True)
-    du.add_argument("--gamma", type=as_gamma, required=True)
+    du = sub.add_parser("dual", parents=[species], help="apply a duality map to (m, gamma)")
     du.add_argument("--which", choices=("reflection", "cpt", "halfplane"), required=True)
     du.set_defaults(func=cmd_dual)
     return ap

@@ -93,20 +93,11 @@ class PartialFractionData(NamedTuple):
     p3_coeff: complex
     p4_coeff: complex
 
-    def p1(self, v):
-        return self.a / 2.0 * np.ones_like(np.asarray(v, dtype=float))
-
-    def p2(self, v):
-        return -self.a / 2.0 / np.asarray(v, dtype=float) ** 2
-
-    def p3(self, v):
-        return self.p3_coeff / np.asarray(v, dtype=float)
-
-    def p4(self, v):
-        return self.p4_coeff / (np.asarray(v, dtype=float) - self.v3)
-
     def total(self, v):
-        return self.p1(v) + self.p2(v) + self.p3(v) + self.p4(v)
+        """P1 + P2 + P3 + P4, summed left to right."""
+        v = np.asarray(v, dtype=float)
+        return (self.a / 2.0 - self.a / 2.0 / v ** 2 + self.p3_coeff / v
+                + self.p4_coeff / (v - self.v3))
 
     def reference(self, v):
         """Independent right-hand side (f/g)(1/v) evaluated from the spinor data."""

@@ -12,7 +12,13 @@ panel edges chosen by the oracle, numpy only.
   and which never meets the branch points +-im of arctan(l/m).  The closed
   forms use the cut discontinuity at phi = pi/2 instead, so the check stays
   independent.  The difference between the rays at phi = 0.4 pi and 0.3 pi
-  is the oracle's own error estimate.  The rays need m >= 0; the bulk
+  is the oracle's own error estimate.  The limit is a cancellation: its
+  absolute error stays at the roundoff of an integrand far larger than the
+  value, so where the value is O(e^{-2mx}), as for the branch-cut integral
+  and for the bulk at |gamma| < 1, its relative error grows like e^{2mx}.
+  The branch-cut check at m = 1 deviates by 1.1e-11 at x = 8, 8.4e-10 at
+  x = 10 and 3.2e-8 at x = 12; at x = 20 and 50 the rays disagree and it
+  raises NonConvergent.  The rays need m >= 0; the bulk
   takes m < 0 at the exact reflection dual of params._nonnegative_mass,
   the same one as the closed forms.
 - P3/P4: panels graded in ln v over (1/LAMBDA, LAMBDA) towards the pole v3.
@@ -84,6 +90,16 @@ def _check_x(x: float) -> None:
         raise OutOfDomain(f"oracles need 0 < x < inf, got x={x}")
     if not x * x * sys.float_info.max >= 1.0:  # 1/x^2, in every closed form, overflows
         raise OutOfDomain(f"oracles need a finite 1/x^2, got x={x}")
+
+
+def _rel_dev(reference: float, value: float) -> float:
+    """|value - reference| / |reference|: the cli's rel_dev and BranchCutResult.rel_diff.
+
+    A deviation below the normal float range is roundoff and reads 0; a zero
+    reference admits no other deviation and reads inf.
+    """
+    dev = abs(value - reference)
+    return 0.0 if dev < sys.float_info.min else (dev / abs(reference) if reference else math.inf)
 
 
 def _abel_limit(m: float, x: float, a: float, b: float) -> tuple[float, float]:
@@ -171,7 +187,7 @@ def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:
                             _graded_edges(centre, T, first)[1:]))
     # (i): P1 + P2 is real; in t the 1/v^2 spike at the lower cutoff becomes
     # the odd (a/2)(e^t - e^-t)
-    sym = float(quad(lambda t: np.real(pf.p1(np.exp(t)) + pf.p2(np.exp(t))) * np.exp(t), edges))
+    sym = float(quad(lambda t: (pf.a / 2.0 - pf.a / 2.0 / np.exp(t) ** 2) * np.exp(t), edges))
     scale = abs(pf.a / 2.0 * (LAMBDA - 1.0 / LAMBDA))
     sym_resid = abs(sym) / scale
 
@@ -195,7 +211,8 @@ class BranchCutResult(NamedTuple):
     """Ray-rule Abel limit vs the contour-shift elementary form.
 
     abel_value is the Abel limit, evaluated on the ray at 0.4 pi;
-    error_estimate is its difference to the ray at 0.3 pi.
+    error_estimate is its difference to the ray at 0.3 pi; rel_diff is its
+    deviation from contour_value by the cli's rel_dev rule, _rel_dev.
     """
 
     abel_value: float
@@ -218,7 +235,7 @@ def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
     abel, err = _abel_limit(m, x, 0.0, -2.0)
     contour = math.pi * math.exp(-2.0 * m * x) * (m / (2.0 * x) + 1.0 / (4.0 * x * x))
     return BranchCutResult(abel_value=abel, contour_value=contour,
-                           rel_diff=abs(abel - contour) / abs(contour), error_estimate=err)
+                           rel_diff=_rel_dev(contour, abel), error_estimate=err)
 
 
 def delta_prime_sector_null(x: float, eps: float) -> float:

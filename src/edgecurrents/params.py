@@ -73,10 +73,8 @@ def as_gamma(g: GammaLike) -> ProjectiveReal:
     """Coerce a float, ``'inf'`` or ProjectiveReal to a ProjectiveReal."""
     if isinstance(g, ProjectiveReal):
         return g
-    if isinstance(g, str):
-        if g.strip().lower() in ("inf", "infinity", "oo"):
-            return GAMMA_INFINITY
-        return ProjectiveReal(float(g))
+    if isinstance(g, str) and g.strip().lower() in ("inf", "infinity", "oo"):
+        return GAMMA_INFINITY
     return ProjectiveReal(float(g))
 
 

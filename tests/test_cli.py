@@ -399,6 +399,9 @@ def test_rejected_parameter_exit_code(capsys):
     ["oracle", "--m", "1", "--x", "1e-160", "--what", "edge"],
     ["oracle", "--m", "1", "--x", "1e-160", "--what", "bulk"],
     ["oracle", "--m", "1", "--x", "1e-160", "--what", "branch-cut"],
+    # x^2 underflows to 0: the closed form divided by zero with a numpy RuntimeWarning
+    ["oracle", "--m", "1", "--x", "1e-200", "--what", "edge"],
+    ["oracle", "--m", "0", "--x", "1e-200", "--what", "bulk"],
 ])
 def test_oracle_domain_errors_exit_3(capsys, argv):
     # an exception escaping main would be a traceback; every domain error is one line
@@ -414,13 +417,27 @@ def test_oracle_domain_errors_exit_3(capsys, argv):
     ["oracle", "--m", "0", "--x", "1", "--what", "branch-cut"],
     ["oracle", "--m", "1", "--x", "1e300", "--what", "bulk"],
     ["oracle", "--m", "1", "--x", "1e300", "--what", "edge"],
+    ["oracle", "--m", "0", "--x", "1e154", "--what", "branch-cut"],
+    ["oracle", "--m", "1", "--x", "1e154", "--what", "branch-cut"],
+    ["oracle", "--m", "0", "--x", "1e300", "--what", "branch-cut"],
+    ["oracle", "--m", "1", "--x", "1e300", "--what", "branch-cut"],
 ])
 def test_oracle_bulk_and_branch_cut_on_the_whole_domain(capsys, argv):
     # gamma = 0 and inf (0 against 0), m < 0 at the exact reflection dual, and m = 0; at
-    # x = 1e300, where x^2 overflows, 0 against 0 without numpy's RuntimeWarning
+    # x = 1e300, where x^2 overflows, 0 against 0 without numpy's RuntimeWarning; from
+    # x = 1e154 the branch cut's contour form underflows to 0, and its Abel limit to 0 or
+    # below the normal range
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     assert out.splitlines()[1].endswith(",PASS")
+
+
+def test_oracle_branch_cut_fails_honestly_where_the_ray_rule_stops(capsys):
+    # the Abel limit cancels an integrand far larger than its value, pi e^{-2mx} (...): at
+    # m x = 20 the two rays disagree, and the check FAILs instead of passing a wrong value
+    code, out, err = run_cli(capsys, ["oracle", "--m", "1", "--x", "20", "--what", "branch-cut"])
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL non-convergent")
 
 
 def test_usage_error_exit_code(capsys):

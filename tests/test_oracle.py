@@ -193,6 +193,13 @@ def test_branch_cut_rays_disagree_where_the_value_is_below_roundoff():
         oracle_branch_cut_integral(5.0, 5.0)
 
 
+@pytest.mark.parametrize("m, x", [(1.0, 1e154), (1.0, 1e300), (0.0, 1e300)])
+def test_branch_cut_compares_underflowed_values_as_zero(m, x):
+    # the contour form underflows to 0 and both rays give 0: a deviation below the normal
+    # range reads 0, the rule of the cli's rel_dev
+    assert oracle_branch_cut_integral(m, x).rel_diff == 0.0
+
+
 @pytest.mark.parametrize("g", [1e200, -1e200])
 def test_edge_oracle_at_huge_gamma_is_finite(g):
     # v_edge and |dk/du| are written in (a, b) = (1/|gamma|, sgn gamma): the current tends

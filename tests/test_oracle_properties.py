@@ -4,6 +4,10 @@ The closed forms are evaluated at 50 digits with mpmath, so each bound below
 is the oracle's own accuracy: m in {0} u [0.01, 2] (and its negative for the bulk),
 x in [0.05, 5], gamma across the projective line, |gamma| from 1e-300 to 1e300 and
 down to 1e-3 from +-1.
+The draws stop at m <= 2 and x <= 5 (m x <= 10) because the ray rule of the
+bulk and branch-cut oracles is a cancellation: where the value is O(e^{-2mx}),
+its relative error grows like e^{2mx} (8.4e-10 for the branch cut at
+m x = 10, a non-convergent FAIL at m x = 20; see edgecurrents.oracle).
 The singular coefficients, the total and the regular part are checked the
 same way, at 60 digits.
 """

@@ -276,6 +276,10 @@ def test_sample_on_grid_calls_fn_once():
     assert calls == [((6, 1), (1, 4))]
     xs, ys = 0.1 + 0.05 * np.arange(6), -0.2 + 0.05 * np.arange(4)
     assert np.array_equal(grid, eval_bulk(mode, p, xs[:, None], ys[None, :]))
+    # Richardson takes its coarse grid from the one fine sample
+    calls.clear()
+    richardson_residual(fn, mode.E, p, 0.1, -0.2, 6, 4, 0.05)
+    assert calls == [((11, 1), (1, 7))]
 
 
 def test_fd_rejects_small_grids():
@@ -286,6 +290,20 @@ def test_fd_rejects_small_grids():
         apply_dirac_fd(np.zeros((5, 5, 3)), p, 0.1)
     with pytest.raises(OutOfDomain):
         apply_dirac_fd(np.zeros((5, 5, 2)), p, -0.1)
+
+
+def test_fd_exact_on_quadratics_including_the_boundary_rows():
+    # the centred and the one-sided second-order stencils are exact on quadratics
+    p, h = ModelParams(0.7, as_gamma(2.0)), 0.1
+    x, y = 0.3 + h * np.arange(7)[:, None], -0.4 + h * np.arange(6)[None, :]
+    psi1 = (1 + 2j) * x * x - 0.5 * x * y + 3j * y * y + x - 2.0
+    psi2 = -0.7 * x * x + (1 - 1j) * x * y + 0.25 * y * y - 1j * y + 0.5
+    d1x, d1y = (2 + 4j) * x - 0.5 * y + 1.0, -0.5 * x + 6j * y
+    d2x, d2y = -1.4 * x + (1 - 1j) * y, (1 - 1j) * x + 0.5 * y - 1j
+    exact = np.stack(np.broadcast_arrays(-1j * d2x - d2y + p.m * psi1,
+                                         -1j * d1x + d1y - p.m * psi2), axis=-1)
+    field = np.stack(np.broadcast_arrays(psi1, psi2), axis=-1)
+    assert np.max(np.abs(apply_dirac_fd(field, p, h) - exact)) < 1e-13 * np.max(np.abs(exact))
 
 
 def test_fd_eigen_residual_second_order():
