@@ -5,14 +5,12 @@ from importlib import import_module
 # Submodule -> its exported names, loaded on first use (PEP 562) so that `import edgecurrents`
 # imports no numpy; uncached, so a name rebound in its submodule is what the package returns.
 _EXPORTS = {
-    "currents": """CurrentDecomposition PartialFractionData SingularPart
-        j1_identically_zero_check partial_fractions singular_part total_decomposition""",
+    "currents": "CurrentDecomposition SingularPart singular_part total_decomposition",
     "errors": "BoostUndefined CptInvariantBoundary EdgeCurrentsError NonConvergent OutOfDomain",
     "fd": "apply_dirac_fd eigen_residual richardson_residual sample_on_grid",
     "multifermion": """BoostScanEntry FermionSystem ResidualReport boost_invariance_scan
-        conjugate_pair make_system rapidity_equivalence_check residuals solve_system""",
-    "oracle": """BranchCutResult P3P4Report delta_prime_sector_null oracle_branch_cut_integral
-        oracle_bulk_current oracle_edge_current oracle_p3_p4_cancellations""",
+        conjugate_pair make_system residuals solve_system""",
+    "oracle": "BranchCutResult oracle_branch_cut_integral oracle_bulk_current oracle_edge_current",
     "params": """GAMMA_INFINITY BoundaryCharacter ModelParams ProjectiveReal as_gamma boost
         boundary_character cpt_dual edge_velocity halfplane_dual reflection_dual""",
     "spectrum": """BulkMode DefectMode EdgeMode bulk_mode defect_mode edge_conductivity

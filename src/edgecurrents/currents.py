@@ -2,10 +2,11 @@
 
 Implements the filled-sea calculation: the current densities of a mode
 spinor, as the one bilinear j^mu = psi^dagger sigma^mu psi of the arrays that
-spectrum's eval_* return, the partial-fraction expansion of the bulk mode sum
-in v = exp(arcsinh(k/a)), the closed-form bulk and edge profiles, and the split
-of the total into distributional singular coefficients (delta'(x) ln Lambda,
-delta'(x), 1/x^2) plus a smooth regular remainder.
+spectrum's eval_* return, the closed-form bulk and edge profiles, and the
+split of the total into distributional singular coefficients (delta'(x)
+ln Lambda, delta'(x), 1/x^2) plus a smooth regular remainder.  The steps of
+the bulk derivation, such as the partial-fraction expansion of the mode sum
+in v = exp(arcsinh(k/a)), are checked in tests/derivation.py.
 
 The closed forms are derived for m >= 0 with Fermi energy E_F = -m; at m < 0
 they take the reflection duality (m, gamma) -> (-m, -1/gamma), exactly in the
@@ -25,14 +26,13 @@ CLI's log_delta_prime_at_Lambda = c_log ln Lambda, refer to this Lambda.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfDomain
 from .params import (ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant,
                      _singular_coefficients)
-from .spectrum import bulk_mode, edge_mode_at_k, eval_bulk, eval_edge
 
 
 # psi(t) = 1 - (1+t) e^{-t} = e^{-t} t^2 sum_j t^j/(j+2)!: below t = 1/2 its terms j <= 18 reach
@@ -47,7 +47,7 @@ def _as_output(a):
 
 
 # ---------------------------------------------------------------------------
-# current densities of mode spinors and the partial-fraction expansion
+# current densities of mode spinors
 
 
 def _bilinears(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,71 +59,6 @@ def _bilinears(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     cross = 2.0 * np.conj(u[..., 0]) * u[..., 1]
     return (np.conj(u) * u).real.sum(axis=-1), cross.real, cross.imag
-
-
-def j1_identically_zero_check(p: ModelParams, samples: Iterable[tuple]) -> bool:
-    """Verify that j^1 = psi^dagger sigma_1 psi is below 1e-12 for all sampled modes.
-
-    Each sample is a tuple (l, k, x, y); the bulk mode (l, k) is always
-    evaluated, the edge mode at k whenever it exists.
-    """
-    for l, k, x, y in samples:
-        if abs(_bilinears(eval_bulk(bulk_mode(p, l, k, "negative"), p, x, y))[1]) > 1e-12:
-            return False
-        mode = edge_mode_at_k(p, k)
-        if mode is not None and abs(_bilinears(eval_edge(mode, p, x, y))[1]) > 1e-12:
-            return False
-    return True
-
-
-class PartialFractionData(NamedTuple):
-    """Terms of the partial-fraction expansion of -(f/g) dk/E in the variable v.
-
-    P1 = a/2, P2 = -(a/2) v^-2, P3 = il (gamma+1)/(gamma-1) v^-1 and
-    P4 = -il 4 gamma/(gamma^2-1) (v - v3)^-1 satisfy, pointwise off the pole,
-    P1+P2+P3+P4 = (f/g)/v = -(f/g)(1/E)(dk/dv).  gamma enters through its
-    homogeneous coordinates ``gamma_ab`` of params._homogeneous (not the scale a).
-    """
-
-    m: float
-    gamma_ab: tuple[float, float]
-    l: float
-    a: float
-    v3: complex
-    p3_coeff: complex
-    p4_coeff: complex
-
-    def total(self, v):
-        """P1 + P2 + P3 + P4, summed left to right."""
-        v = np.asarray(v, dtype=float)
-        return (self.a / 2.0 - self.a / 2.0 / v ** 2 + self.p3_coeff / v
-                + self.p4_coeff / (v - self.v3))
-
-    def reference(self, v):
-        """Independent right-hand side (f/g)(1/v) evaluated from the spinor data."""
-        v = np.asarray(v, dtype=float)
-        k = self.a * (v - 1.0 / v) / 2.0
-        E = -self.a * (v + 1.0 / v) / 2.0
-        ga, gb = self.gamma_ab
-        g = ga * (self.m - E) + gb * (k - 1j * self.l)
-        ratio = (k - 1j * self.l) * np.conj(g) / g
-        return ratio / v
-
-
-def partial_fractions(p: ModelParams, l: float) -> PartialFractionData:
-    """Build the partial-fraction data of -(f/g) dk/E at transverse momentum l."""
-    _reject_cpt_invariant(p)
-    if not 0.0 < l < math.inf:
-        raise OutOfDomain(f"need 0 < l < inf, got l={l}")
-    m = p.m
-    a = math.sqrt(l * l + m * m)
-    ga, gb = _homogeneous(p.gamma)
-    return PartialFractionData(
-        m=m, gamma_ab=(ga, gb), l=l, a=a,
-        v3=complex((1j * l + m) / a * (gb - ga) / (gb + ga)),
-        p3_coeff=complex(1j * l * (gb + ga) / (gb - ga)),
-        p4_coeff=complex(-1j * l * 4.0 * ga * gb / (gb * gb - ga * ga)),
-    )
 
 
 # ---------------------------------------------------------------------------

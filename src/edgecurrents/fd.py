@@ -55,11 +55,12 @@ def eigen_residual(fn, E: complex, p: ModelParams, x0: float, y0: float,
                    nx: int, ny: int, h: float) -> float:
     """Relative residual ||(H_h - E) psi|| / ||psi|| of a sampled eigenfunction.
 
-    Both norms run over the interior points, where the stencils are centred.
+    Both norms run over the interior points, where the stencils are centred;
+    a sampled field whose norm there is 0 or not finite is OutOfDomain.
     """
     grid = sample_on_grid(fn, x0, y0, nx, ny, h)
     res = (apply_dirac_fd(grid, p, h) - E * grid)[1:-1, 1:-1]
-    return float(np.linalg.norm(res) / np.linalg.norm(grid[1:-1, 1:-1]))
+    return float(np.linalg.norm(res) / _divisor(np.linalg.norm(grid[1:-1, 1:-1])))
 
 
 def richardson_residual(fn, E: complex, p: ModelParams, x0: float, y0: float,
@@ -67,11 +68,19 @@ def richardson_residual(fn, E: complex, p: ModelParams, x0: float, y0: float,
     """Residual after one Richardson step over spacings h and h/2.
 
     The O(h^2) error of the centred stencils cancels between the two grids,
-    leaving the O(h^4) remainder; used for tight defect-mode checks.
+    leaving the O(h^4) remainder; used for tight defect-mode checks.  Relative
+    to the largest |psi| on the coarse grid, which must be positive and finite.
     """
     fine = sample_on_grid(fn, x0, y0, 2 * nx - 1, 2 * ny - 1, h / 2.0)
     coarse = fine[::2, ::2]  # (h/2)(2i) is h i exactly: the coarse grid, bit for bit
     r_c = apply_dirac_fd(coarse, p, h) - E * coarse
     r_f = (apply_dirac_fd(fine, p, h / 2.0) - E * fine)[::2, ::2]
     extrap = ((4.0 * r_f - r_c) / 3.0)[1:-1, 1:-1]
-    return float(np.max(np.abs(extrap)) / np.max(np.abs(coarse)))
+    return float(np.max(np.abs(extrap)) / _divisor(np.max(np.abs(coarse))))
+
+
+def _divisor(scale):
+    """The sampled field's norm or max, checked before a residual is divided by it."""
+    if not 0.0 < scale < math.inf:
+        raise OutOfDomain(f"the sampled field must have a positive finite size, got {scale}")
+    return scale

@@ -98,17 +98,6 @@ def residuals(sys: FermionSystem) -> ResidualReport:
     return ResidualReport(*sums, scale=max(1.0, size))
 
 
-def rapidity_equivalence_check(sys: FermionSystem) -> bool:
-    """True iff the gamma-form pair and the rapidity-form pair vanish together.
-
-    The two pairs are linear recombinations of each other
-    (r_log = -(r_plus + r_minus)/2, r_x2 = -(r_plus - r_minus)/4), computed
-    by independent formulas, so their zero sets, at the scale of cancels, coincide.
-    """
-    rep = residuals(sys)
-    return rep.cancels() == _negligible(rep.scale, rep.r_plus, rep.r_minus)
-
-
 def conjugate_pair(gamma: GammaLike) -> FermionSystem:
     """The charge-conjugate pair {gamma, -1/gamma}; all three residuals vanish."""
     g = as_gamma(gamma)

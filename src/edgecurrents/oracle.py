@@ -21,20 +21,16 @@ panel edges chosen by the oracle, numpy only.
   raises NonConvergent.  The rays need m >= 0; the bulk
   takes m < 0 at the exact reflection dual of params._nonnegative_mass,
   the same one as the closed forms.
-- P3/P4: panels graded in ln v over (1/LAMBDA, LAMBDA) towards the pole v3.
-- delta' sector: the damped l-integral on half-period panels in l.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .currents import partial_fractions
 from .errors import NonConvergent, OutOfDomain
 from .params import (ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant,
                      edge_velocity)
@@ -55,10 +51,6 @@ _GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 # between their two values that still counts as converged.
 _RAY_ANGLES = (0.4 * math.pi, 0.3 * math.pi)
 _RAY_TOL = 1e-6
-# The structural checks: P3/P4 cutoff and pass bound, and the l-range of delta'.
-LAMBDA = 1.0e4
-L_MAX = 400.0
-_P3P4_TOL = 1e-10
 
 
 def quad(fn, edges) -> complex:
@@ -155,58 +147,6 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     return edge_velocity(p.gamma) * dk_du / math.pi * total
 
 
-class P3P4Report(NamedTuple):
-    """Outcome of the symmetric-cancellation and log-antiderivative checks."""
-
-    symmetric_residual: float
-    antiderivative_error: float
-    branch_limit_error: float
-    symmetric_ok: bool
-    antiderivative_ok: bool
-
-
-def oracle_p3_p4_cancellations(p: ModelParams, l: float) -> P3P4Report:
-    """Check the two structural facts behind the bulk closed form.
-
-    (i) The P1 + P2 integral over the v-symmetric range (1/LAMBDA, LAMBDA)
-    vanishes (the k -> -k, v -> 1/v cancellation).
-    (ii) The numeric integral of (v - v3)^-1 over the same range equals the
-    principal-branch antiderivative Log(LAMBDA - v3) - Log(1/LAMBDA - v3),
-    whose Lambda -> inf limit is
-    ln Lambda - [ i*arctan(l/m) + ln|(gamma-1)/(gamma+1)| - i pi Theta(gamma^2-1) ].
-    The reported branch_limit_error is the O(1/LAMBDA) gap to that limit.
-    Both integrals run in t = ln v, on panels graded towards Re ln v3: the
-    pole sits |arg v3| off the real t axis, which is the first panel width.
-    """
-    pf = partial_fractions(p, l)
-    T = math.log(LAMBDA)
-    log_v3 = cmath.log(pf.v3)
-    centre = min(max(log_v3.real, -T), T)
-    first = min(1.0, abs(log_v3.imag))
-    edges = np.concatenate((_graded_edges(centre, -T, first)[::-1],
-                            _graded_edges(centre, T, first)[1:]))
-    # (i): P1 + P2 is real; in t the 1/v^2 spike at the lower cutoff becomes
-    # the odd (a/2)(e^t - e^-t)
-    sym = float(quad(lambda t: (pf.a / 2.0 - pf.a / 2.0 / np.exp(t) ** 2) * np.exp(t), edges))
-    scale = abs(pf.a / 2.0 * (LAMBDA - 1.0 / LAMBDA))
-    sym_resid = abs(sym) / scale
-
-    numeric = complex(quad(lambda t: np.exp(t) / (np.exp(t) - pf.v3), edges))
-    # Im(v - v3) is constant along the path, so principal logs are branch-safe
-    exact = cmath.log(LAMBDA - pf.v3) - cmath.log(1.0 / LAMBDA - pf.v3)
-    a, b = pf.gamma_ab
-    log_const = (1j * math.atan2(l, p.m) + math.log(abs((b - a) / (b + a)))
-                 - 1j * math.pi * (1.0 if abs(b) > a else 0.0))
-    asymptotic = T - log_const
-    return P3P4Report(
-        symmetric_residual=sym_resid,
-        antiderivative_error=abs(numeric - exact),
-        branch_limit_error=abs(exact - asymptotic),
-        symmetric_ok=sym_resid < _P3P4_TOL,
-        antiderivative_ok=abs(numeric - exact) < _P3P4_TOL,
-    )
-
-
 class BranchCutResult(NamedTuple):
     """Ray-rule Abel limit vs the contour-shift elementary form.
 
@@ -238,18 +178,6 @@ def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
                            rel_diff=_rel_dev(contour, abel), error_estimate=err)
 
 
-def delta_prime_sector_null(x: float, eps: float) -> float:
-    """Abel-damped int_0^L_MAX l sin(2lx) e^{-eps l} dl; tends to 0 as eps -> 0 at x > 0.
-
-    Integrated on half-period panels of width <= pi/(2x); needs 0 <= eps < inf.
-    """
-    _check_x(x)
-    if not 0.0 <= eps < math.inf:
-        raise OutOfDomain(f"the damping needs 0 <= eps < inf, got eps={eps}")
-    edges = np.linspace(0.0, L_MAX, math.ceil(2.0 * x * L_MAX / math.pi) + 1)
-    return float(quad(lambda l: l * np.sin(2.0 * l * x) * np.exp(-eps * l), edges))
-
-
 def oracle_bulk_current(p: ModelParams, x: float) -> float:
     """Smooth bulk current at x > 0 and any m from the full numeric pipeline.
 
@@ -257,7 +185,7 @@ def oracle_bulk_current(p: ModelParams, x: float) -> float:
     v-symmetric cutoff range (P1+P2 cancel; P3 and the parts of P4 whose
     coefficient is i l times a constant, ln Lambda and ln|(g-1)/(g+1)|,
     only feed delta'(x) terms: Re[i l e^{-2ilx}] = l sin(2lx), whose Abel
-    limit vanishes at x > 0, see delta_prime_sector_null); take the Abel
+    limit vanishes at x > 0, as tests/derivation.py checks); take the Abel
     limit of the l-integral of the remaining P4 finite part, the principal
     arctan(l/m) and the Theta branch term, along the rays.  At m < 0 the
     current is minus the one at the exact reflection dual of

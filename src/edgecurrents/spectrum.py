@@ -75,6 +75,8 @@ def bulk_mode(p: ModelParams, l: float, k: float, branch: str = "negative") -> B
     E = math.sqrt(k * k + l * l + p.m * p.m)
     if branch == "negative":
         E = -E
+    if not 0.0 < abs(p.m - E) < math.inf:  # rho = (k + il)/(m - E) needs a finite m - E != 0
+        raise OutOfDomain(f"bulk modes need a finite E != m, got E={E} at m={p.m}, l={l}, k={k}")
     rho = (k + 1j * l) / (p.m - E)
     a, b = _homogeneous(p.gamma)
     phase = (a + b * np.conj(rho)) / (a + b * rho)
@@ -149,6 +151,8 @@ def defect_mode(p: ModelParams, mu: float, k: float, sign: int) -> DefectMode:
     if sign not in (1, -1):
         raise OutOfDomain(f"sign must be +1 or -1, got {sign}")
     lam = math.sqrt(mu * mu + k * k + p.m * p.m)
+    if lam == math.inf:
+        raise OutOfDomain(f"defect modes need a finite lambda_def, got mu={mu}, k={k}, m={p.m}")
     s = 1j * (k + lam) / (p.m + sign * 1j * mu)
     return DefectMode(mu=float(mu), k=float(k), sign=sign, lambda_def=lam, s=complex(s))
 

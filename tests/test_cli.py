@@ -489,7 +489,8 @@ def modules_after_main(argvs):
               "with contextlib.redirect_stdout(io.StringIO()), "
               "contextlib.redirect_stderr(io.StringIO()):\n"
               f"    codes = [main(a.split()) for a in {argvs!r}]\n"
-              "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd', 'dataclasses')\n"
+              "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd',\n"
+              "         'edgecurrents.spectrum', 'edgecurrents.currents', 'dataclasses')\n"
               "print(codes, [n for n in heavy if n in sys.modules])\n")
     res = run_fresh(["-c", script])
     assert res.returncode == 0, res.stderr
@@ -498,14 +499,23 @@ def modules_after_main(argvs):
 
 def test_scalar_subcommands_skip_numpy():
     # constraints and dual are math on a few gammas, and spectrum and profile reject before
-    # numpy; spectrum and profile load no oracle or fd, and no subcommand loads dataclasses
+    # numpy; spectrum and profile load no oracle or fd, profile no spectrum, and no
+    # subcommand loads dataclasses
     assert modules_after_main(["constraints --gammas 2,-0.5", "constraints --solve 2 --fix 2",
                                "dual --m 1 --gamma 0 --which reflection",
                                "profile --m 1 --gamma 1",
                                "spectrum --m 1 --gamma 2 --k-min -1e308 --k-max 1e308"]
                               ) == "[0, 0, 0, 3, 3] []\n"
     assert modules_after_main(["spectrum --m 1 --gamma 2 --points 5",
-                               "profile --m 1 --gamma 2 --points 5"]) == "[0, 0] ['numpy']\n"
+                               "profile --m 1 --gamma 2 --points 5"]) == (
+        "[0, 0] ['numpy', 'edgecurrents.spectrum', 'edgecurrents.currents']\n")
+    assert modules_after_main(["profile --m 1 --gamma 2 --points 5"]
+                              ) == "[0] ['numpy', 'edgecurrents.currents']\n"
+    # the oracles depend on params and errors alone
+    res = run_fresh(["-c", "import sys, edgecurrents.oracle\n"
+                           "print([n for n in ('edgecurrents.currents', 'edgecurrents.spectrum')"
+                           " if n in sys.modules])"])
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
 
 
 @pytest.mark.parametrize("argv", [

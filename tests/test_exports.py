@@ -15,7 +15,7 @@ def loaded():
 def test_exports_are_the_submodule_objects(loaded):
     owners = ec._MODULE_OF
     assert set(owners.values()) == set(SUBMODULES) and sorted(owners) == ec.__all__
-    assert len(ec.__all__) == 55
+    assert len(ec.__all__) == 48
     for name in ec.__all__:
         obj = getattr(ec, name)
         assert obj is getattr(loaded[owners[name]], name)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from edgecurrents import (CptInvariantBoundary, ModelParams, NonConvergent, OutOfDomain,
-                          as_gamma, delta_prime_sector_null,
-                          oracle_branch_cut_integral, oracle_bulk_current, oracle_edge_current,
-                          oracle_p3_p4_cancellations, reflection_dual, total_decomposition)
+                          as_gamma, oracle_branch_cut_integral, oracle_bulk_current,
+                          oracle_edge_current, reflection_dual, total_decomposition)
 from edgecurrents import oracle
+from derivation import LAMBDA, P3P4_TOL, delta_prime_damped, p3_p4_errors
 
 
 def test_quad_exact_for_polynomials():
@@ -92,31 +92,31 @@ def test_oracle_edge_rejects_unit_gamma():
 
 
 def test_p3_p4_cancellations():
-    rep = oracle_p3_p4_cancellations(ModelParams(1.0, as_gamma(2.0)), 0.8)
-    assert rep.symmetric_ok
-    assert rep.antiderivative_ok
+    sym, anti, limit = p3_p4_errors(ModelParams(1.0, as_gamma(2.0)), 0.8)
+    assert sym < P3P4_TOL
+    assert anti < P3P4_TOL
     # the finite-cutoff log differs from its asymptote by O(1/Lambda)
-    assert rep.branch_limit_error < 10.0 / oracle.LAMBDA
+    assert limit < 10.0 / LAMBDA
 
 
 def test_p3_p4_cancellations_infinite_gamma():
     p = ModelParams(1.0, as_gamma("inf"))
-    rep = oracle_p3_p4_cancellations(p, 1.1)
-    assert rep.symmetric_ok
-    assert rep.antiderivative_ok
+    sym, anti, _ = p3_p4_errors(p, 1.1)
+    assert sym < P3P4_TOL
+    assert anti < P3P4_TOL
 
 
 @pytest.mark.parametrize("g, l", [(2.0, 1e-3), (2.0, 1e-6), (1.0001, 0.01), (-3.0, 0.5)])
 def test_p3_p4_cancellations_pole_next_to_the_path(g, l):
     # l << m puts v3 within arctan(l/m) of the real v axis; the graded panels resolve it
-    rep = oracle_p3_p4_cancellations(ModelParams(1.0, as_gamma(g)), l)
-    assert rep.symmetric_ok and rep.antiderivative_ok
+    sym, anti, _ = p3_p4_errors(ModelParams(1.0, as_gamma(g)), l)
+    assert sym < P3P4_TOL and anti < P3P4_TOL
 
 
 def test_delta_prime_sector_vanishes_with_damping():
     # int_0^inf l sin(2lx) e^{-eps l} dl = 4 x eps / (eps^2 + 4 x^2)^2 -> 0 with eps
     x = 0.9
-    vals = [delta_prime_sector_null(x, eps) for eps in (0.2, 0.1, 0.05)]
+    vals = [delta_prime_damped(x, eps) for eps in (0.2, 0.1, 0.05)]
     for eps, val in zip((0.2, 0.1, 0.05), vals):
         exact = 4.0 * x * eps / (eps * eps + 4.0 * x * x) ** 2
         assert val == pytest.approx(exact, rel=1e-4)  # finite l_max truncation
@@ -169,7 +169,6 @@ def test_oracles_reject_x_outside_domain(x):
     dec = total_decomposition(p)
     for call in (lambda: oracle_edge_current(p, x), lambda: oracle_bulk_current(p, x),
                  lambda: oracle_branch_cut_integral(1.0, x),
-                 lambda: delta_prime_sector_null(x, 0.1),
                  lambda: dec.edge_smooth(x), lambda: dec.bulk_smooth(x)):
         with pytest.raises(OutOfDomain):
             call()
@@ -180,8 +179,7 @@ def test_oracles_reject_x_where_the_inverse_square_overflows(x):
     # 1/x^2 is inf below x ~ 7.5e-155 (or x^2 is 0): inf and nan instead of a check
     p = ModelParams(1.0, as_gamma(2.0))
     for call in (lambda: oracle_edge_current(p, x), lambda: oracle_bulk_current(p, x),
-                 lambda: oracle_branch_cut_integral(1.0, x),
-                 lambda: delta_prime_sector_null(x, 0.1)):
+                 lambda: oracle_branch_cut_integral(1.0, x)):
         with pytest.raises(OutOfDomain, match="finite 1/x"):
             call()
 

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from edgecurrents import (GAMMA_INFINITY, ModelParams, OutOfDomain, apply_dirac_fd, as_gamma,
-                          bulk_mode, defect_mode, delta_prime_sector_null, edge_conductivity,
-                          edge_dispersion, edge_mode_at_k, edge_velocity, eigen_residual,
-                          eval_bulk, eval_defect, eval_edge, gap_crossing,
-                          oracle_p3_p4_cancellations, partial_fractions, richardson_residual,
-                          sample_on_grid)
+                          bulk_mode, defect_mode, edge_conductivity, edge_dispersion,
+                          edge_mode_at_k, edge_velocity, eigen_residual, eval_bulk, eval_defect,
+                          eval_edge, gap_crossing, richardson_residual, sample_on_grid)
 from edgecurrents.currents import _bilinears
 from edgecurrents.oracle import quad
 from conftest import random_gamma
@@ -96,6 +94,9 @@ def test_edge_mode_nan_decay_rate_is_no_mode():
 
 
 P_GENERIC = ModelParams(1.0, as_gamma(2.0))
+# an edge mode sampled at x0 = 2000, where e^{-lam x} has underflowed to 0 on the whole grid
+UNDERFLOWED_EDGE = (lambda x, y: eval_edge(edge_mode_at_k(P_GENERIC, 0.5), P_GENERIC, x, y),
+                    edge_mode_at_k(P_GENERIC, 0.5).E, P_GENERIC, 2000.0, 0.0, 9, 9, 0.05)
 
 
 @pytest.mark.parametrize("call", [
@@ -103,13 +104,18 @@ P_GENERIC = ModelParams(1.0, as_gamma(2.0))
     lambda: bulk_mode(P_GENERIC, math.inf, 0.5),
     lambda: bulk_mode(P_GENERIC, 1.0, math.nan),
     lambda: bulk_mode(P_GENERIC, 1.0, math.inf),
-    lambda: partial_fractions(P_GENERIC, math.nan),
-    lambda: oracle_p3_p4_cancellations(P_GENERIC, math.nan),
     lambda: defect_mode(P_GENERIC, math.nan, 0.5, 1),
     lambda: defect_mode(P_GENERIC, 1.0, math.inf, 1),
     lambda: apply_dirac_fd(np.zeros((5, 5, 2)), P_GENERIC, math.nan),
-    lambda: delta_prime_sector_null(1.0, -1.0),
-    lambda: delta_prime_sector_null(1.0, math.nan),
+    # m - E rounds to 0 (a bare ZeroDivisionError), or E overflows to -inf with rho = 0
+    lambda: bulk_mode(ModelParams(-1.0, as_gamma(2.0)), 1e-9, 0.0),
+    lambda: bulk_mode(ModelParams(-1e10, as_gamma(2.0)), 1.0, 0.0),
+    lambda: bulk_mode(P_GENERIC, 1e-9, 0.0, "positive"),
+    lambda: bulk_mode(P_GENERIC, 1e200, 0.0),
+    lambda: defect_mode(P_GENERIC, 1e200, 0.0, 1),  # lambda_def = inf, s = nan
+    # the residuals' divisor, the field's norm or max, is 0: 0/0 = nan instead of a check
+    lambda: eigen_residual(*UNDERFLOWED_EDGE),
+    lambda: richardson_residual(*UNDERFLOWED_EDGE),
 ])
 def test_nan_and_out_of_range_arguments_are_out_of_domain(call):
     # written as "not 0 < v < inf": a "v <= 0" check lets nan through to nan arrays
