@@ -2,7 +2,11 @@
 
 All quantities are in natural units (hbar = c = 1); the edge conductivity is
 reported in units of e^2/h.  CSV output uses 17 significant digits so values
-round-trip exactly, LF line endings, and is byte-stable across runs.
+round-trip exactly, LF line endings, and is byte-stable across runs.  The
+spectrum and profile tables are formatted column by column in numpy by
+edgecurrents.table, which writes the bytes of '%.17g' % v and leaves to '%'
+itself only the values whose rounding its estimate cannot decide; single
+values, such as the spectrum header and the oracle row, use _fmt.
 
 Exit codes: 0 success, 1 oracle FAIL, 2 usage error, 3 rejected parameter
 (gamma = +-1 on a restricted operation, or any argument outside an
@@ -16,6 +20,8 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 from .errors import EdgeCurrentsError, NonConvergent, OutOfDomain
 from .multifermion import FermionSystem, residuals, solve_system
@@ -56,12 +62,13 @@ def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:
     return tuple(as_gamma(s) for s in text.split(","))
 
 
-def _write(path: str | None, text: str, stream=None) -> None:
+def _write(path: str | None, texts: Iterable[str], stream=None) -> None:
+    """Write the strings in turn to path, or to stream (stdout by default)."""
     if path is None:
-        (stream or sys.stdout).write(text)
+        (stream or sys.stdout).writelines(texts)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -70,6 +77,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise OutOfDomain(f"the k span overflows, got k_min={args.k_min}, k_max={args.k_max}")
     import numpy as np  # after the checks: a rejected input loads no numpy
     from .spectrum import edge_conductivity, edge_dispersion
+    from .table import csv_rows
     ch = boundary_character(p.gamma)
     lines = [
         f"# v_edge={_fmt(ch.v_edge)}",
@@ -81,10 +89,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     ks = np.linspace(args.k_min, args.k_max, args.points)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan at extreme k or m, as for floats
         E, lam = edge_dispersion(p, ks)
-    # '%.17g' % v is _fmt(v): one format call per row
-    lines += ["%.17g,%.17g,%.17g,true" % (k, e, lk) if lk > 0.0 else "%.17g,nan,nan,false" % k
-              for k, e, lk in zip(ks.tolist(), E.tolist(), lam.tolist())]
-    _write(args.out, "\n".join(lines) + "\n")
+    exists = lam > 0.0
+    flags = np.array([b"false\n", b"true\n"])[exists.astype(int)]  # 'true\n' NUL-padded to 6 bytes
+    rows = csv_rows([ks, np.where(exists, E, np.nan), np.where(exists, lam, np.nan)],
+                    flags.view(np.uint8).reshape(len(ks), -1))
+    _write(args.out, chain(["\n".join(lines) + "\n"], rows))
     return 0
 
 
@@ -93,15 +102,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     _reject_cpt_invariant(p)
     import numpy as np  # after the check: gamma = +-1 loads no numpy
     from .currents import total_decomposition
+    from .table import csv_rows
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf, nan at extreme x
         columns = (xs, dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.total_smooth(xs),
                    dec.regular(xs), dec.singular.c_inv_x2 / (xs * xs))
-    lines = ["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2"]
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
-              for row in zip(*(c.tolist() for c in columns))]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, chain(["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2\n"],
+                           csv_rows(columns)))
     sidecar = {
         "m": p.m,
         "gamma": _json_gamma(p.gamma),
@@ -112,7 +120,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.Lambda is not None:
         sidecar["log_delta_prime_at_Lambda"] = dec.singular.c_log_delta_prime * math.log(args.Lambda)
     _write(None if args.out is None else args.out + ".json",
-           json.dumps(sidecar, sort_keys=True, indent=2) + "\n", sys.stderr)
+           [json.dumps(sidecar, sort_keys=True, indent=2) + "\n"], sys.stderr)
     return 0
 
 

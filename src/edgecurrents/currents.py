@@ -117,13 +117,26 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, profile: str) -> float |
 
 
 def _psi(t):
-    """psi(t) = 1 - (1+t) e^{-t}, without its cancellation at small t."""
-    s = np.minimum(t, 0.5)  # the discarded series branch stays finite at large t
+    """psi(t) = 1 - (1+t) e^{-t}, without its cancellation at small t; each branch only where used."""
     t = np.minimum(t, 1e3)  # psi is 1.0 from t ~ 40 on; t e^{-t} would be nan at t = inf
+    if t.ndim == 0:
+        return _psi_series(t) if t < 0.5 else _psi_expm1(t)
+    out = np.empty_like(t)
+    small = t < 0.5
+    out[small] = _psi_series(t[small])
+    out[~small] = _psi_expm1(t[~small])
+    return out
+
+
+def _psi_series(t):
     series = 0.0
     for coef in _PSI_SERIES:  # np.polyval's Horner steps, without its array set-up per call
-        series = series * s + coef
-    return np.where(t < 0.5, np.exp(-s) * s * s * series, -np.expm1(-t) - t * np.exp(-t))
+        series = series * t + coef
+    return np.exp(-t) * t * t * series
+
+
+def _psi_expm1(t):
+    return -np.expm1(-t) - t * np.exp(-t)
 
 
 def singular_part(p: ModelParams) -> SingularPart:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgecurrents import ModelParams, as_gamma, edge_mode_at_k, total_decomposition
+from edgecurrents import (ModelParams, as_gamma, edge_dispersion, edge_mode_at_k,
+                          total_decomposition)
 from edgecurrents.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,6 +106,8 @@ def test_spectrum_rows_match_per_point_reference(capsys, m, g):
      1.0, "1e16", (-1e300, 1e300, 7)),
     (["--m=1e300", "--gamma=1e16", "--k-min=-1e300", "--k-max=1e300", "--points=7"],
      1e300, "1e16", (-1e300, 1e300, 7)),
+    (["--m=1e300", "--gamma=1e16", "--k-min=-1e300", "--k-max=1e300", "--points=20000"],
+     1e300, "1e16", (-1e300, 1e300, 20000)),
 ])
 def test_spectrum_corner_rows_are_quiet_and_match_reference(capsys, argv, m, g, k_range):
     with warnings.catch_warnings():
@@ -114,16 +117,49 @@ def test_spectrum_corner_rows_are_quiet_and_match_reference(capsys, argv, m, g, 
     assert out.splitlines()[5:] == reference_spectrum_rows(m, g, *k_range)
 
 
+def reference_profile_rows(m, g, x_min, x_max, points):
+    """The profile rows of the library's columns, one format() per value."""
+    dec = total_decomposition(ModelParams(m, as_gamma(g)))
+    xs = np.geomspace(x_min, x_max, points)
+    columns = (xs, dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.total_smooth(xs), dec.regular(xs),
+               dec.singular.c_inv_x2 / (xs * xs))
+    return [",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in columns))]
+
+
 @pytest.mark.parametrize("m, g", TABLE_CASES)
 def test_profile_rows_match_per_value_format(capsys, m, g):
     code, out, err = run_cli(capsys, ["profile", f"--m={m!r}", f"--gamma={g}", "--points", "50"])
     assert code == 0 and json.loads(err)["m"] == m
-    dec = total_decomposition(ModelParams(m, as_gamma(g)))
-    xs = np.geomspace(0.1, 5.0, 50)
-    columns = (xs, dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.total_smooth(xs), dec.regular(xs),
-               dec.singular.c_inv_x2 / (xs * xs))
-    assert out.splitlines()[1:] == [",".join(format(v, ".17g") for v in row)
-                                    for row in zip(*(c.tolist() for c in columns))]
+    assert out.splitlines()[1:] == reference_profile_rows(m, g, 0.1, 5.0, 50)
+
+
+@pytest.mark.parametrize("m, g", TABLE_CASES)
+def test_large_tables_match_per_value_format(capsys, m, g):
+    # 2e4 rows span many formatter blocks; the spectrum reference formats the same
+    # dispersion arrays one value at a time
+    code, out, err = run_cli(capsys, ["profile", f"--m={m!r}", f"--gamma={g}", "--points=20000"])
+    assert code == 0 and json.loads(err)["m"] == m
+    assert out.splitlines()[1:] == reference_profile_rows(m, g, 0.1, 5.0, 20000)
+    code, out, err = run_cli(capsys, ["spectrum", f"--m={m!r}", f"--gamma={g}", "--points=20000"])
+    assert (code, err) == (0, "")
+    ks = np.linspace(-2.0, 2.0, 20000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, lam = edge_dispersion(ModelParams(m, as_gamma(g)), ks)
+    assert out.splitlines()[5:] == [
+        f"{format(k, '.17g')},{format(e, '.17g')},{format(lk, '.17g')},true" if lk > 0.0
+        else f"{format(k, '.17g')},nan,nan,false" for k, e, lk in zip(ks.tolist(), E.tolist(),
+                                                                    lam.tolist())]
+
+
+@pytest.mark.parametrize("m, g", [(1.0, "2"), (-1.0, "0.5"), (1.0, "-3")])
+def test_profile_with_exponent_cells_matches_per_value_format(capsys, m, g):
+    # x from 1e-3 to 60: cells below 1e-4 in magnitude, such as the profiles at large x, take
+    # an exponent
+    code, out, _ = run_cli(capsys, ["profile", f"--m={m!r}", f"--gamma={g}", "--x-min", "1e-3",
+                                    "--x-max", "60", "--points", "20000"])
+    rows = out.splitlines()[1:]
+    assert code == 0 and rows == reference_profile_rows(m, g, 1e-3, 60.0, 20000)
+    assert any("e-" in row for row in rows)
 
 
 def test_profile_stdout_and_sidecar(capsys):
@@ -490,7 +526,8 @@ def modules_after_main(argvs):
               "contextlib.redirect_stderr(io.StringIO()):\n"
               f"    codes = [main(a.split()) for a in {argvs!r}]\n"
               "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd',\n"
-              "         'edgecurrents.spectrum', 'edgecurrents.currents', 'dataclasses')\n"
+              "         'edgecurrents.spectrum', 'edgecurrents.currents',\n"
+              "         'edgecurrents.table', 'dataclasses', 'fractions', 'decimal')\n"
               "print(codes, [n for n in heavy if n in sys.modules])\n")
     res = run_fresh(["-c", script])
     assert res.returncode == 0, res.stderr
@@ -500,7 +537,8 @@ def modules_after_main(argvs):
 def test_scalar_subcommands_skip_numpy():
     # constraints and dual are math on a few gammas, and spectrum and profile reject before
     # numpy; spectrum and profile load no oracle or fd, profile no spectrum, and no
-    # subcommand loads dataclasses
+    # subcommand loads dataclasses.  Only the two tables load the table formatter, and
+    # it builds its constants from ints, without fractions or decimal
     assert modules_after_main(["constraints --gammas 2,-0.5", "constraints --solve 2 --fix 2",
                                "dual --m 1 --gamma 0 --which reflection",
                                "profile --m 1 --gamma 1",
@@ -508,9 +546,12 @@ def test_scalar_subcommands_skip_numpy():
                               ) == "[0, 0, 0, 3, 3] []\n"
     assert modules_after_main(["spectrum --m 1 --gamma 2 --points 5",
                                "profile --m 1 --gamma 2 --points 5"]) == (
-        "[0, 0] ['numpy', 'edgecurrents.spectrum', 'edgecurrents.currents']\n")
+        "[0, 0] ['numpy', 'edgecurrents.spectrum', 'edgecurrents.currents', "
+        "'edgecurrents.table']\n")
     assert modules_after_main(["profile --m 1 --gamma 2 --points 5"]
-                              ) == "[0] ['numpy', 'edgecurrents.currents']\n"
+                              ) == "[0] ['numpy', 'edgecurrents.currents', 'edgecurrents.table']\n"
+    assert modules_after_main(["oracle --m 1 --gamma 2 --x 0.7 --what edge"]
+                              ) == "[0] ['numpy', 'edgecurrents.oracle', 'edgecurrents.currents']\n"
     # the oracles depend on params and errors alone
     res = run_fresh(["-c", "import sys, edgecurrents.oracle\n"
                            "print([n for n in ('edgecurrents.currents', 'edgecurrents.spectrum')"

@@ -7,7 +7,7 @@ import pytest
 from edgecurrents import (GAMMA_INFINITY, CptInvariantBoundary, ModelParams, OutOfDomain,
                           as_gamma, bulk_mode, edge_mode_at_k, edge_velocity, eval_bulk, eval_edge,
                           reflection_dual, singular_part, total_decomposition)
-from edgecurrents.currents import _bilinears
+from edgecurrents.currents import _PSI_SERIES, _bilinears, _psi
 from edgecurrents.params import _homogeneous
 from conftest import random_gamma
 from derivation import j1_vanishes, partial_fraction_sides
@@ -218,3 +218,17 @@ def test_negative_mass_via_reflection():
                 assert np.array_equal(getattr(dec_neg, name)(x), -getattr(dec_pos, name)(x))
         for name in ("c_log_delta_prime", "c_delta_prime", "c_inv_x2"):
             assert getattr(dec_neg.singular, name) == -getattr(dec_pos.singular, name)
+
+
+def test_psi_branches_give_the_bits_of_both_branches_evaluated_everywhere():
+    # _psi evaluates the series only below t = 1/2 and expm1 only above; the reference
+    # evaluates both on every element and picks one, as the closed forms once did
+    t = np.concatenate([[0.0, 5e-324, 1e-17, 0.1, np.nextafter(0.5, 0.0), 0.5,
+                         np.nextafter(0.5, 1.0), 1.0, 40.0, 1e3, 1e300, np.inf],
+                        np.geomspace(1e-12, 2e3, 4001)])
+    s, u = np.minimum(t, 0.5), np.minimum(t, 1e3)
+    want = np.where(t < 0.5, np.exp(-s) * s * s * np.polyval(_PSI_SERIES, s),
+                    -np.expm1(-u) - u * np.exp(-u))
+    assert np.array_equal(_psi(t).view(np.int64), want.view(np.int64))
+    scalars = np.array([_psi(np.float64(v)) for v in t])
+    assert np.array_equal(scalars.view(np.int64), want.view(np.int64))
