@@ -4,13 +4,14 @@ All quantities are in natural units (hbar = c = 1); the edge conductivity is
 reported in units of e^2/h.  CSV output uses 17 significant digits so values
 round-trip exactly, LF line endings, and is byte-stable across runs.  The
 spectrum and profile tables are formatted column by column in numpy by
-edgecurrents.table, which writes the bytes of '%.17g' % v and leaves to '%'
-itself only the values whose rounding its estimate cannot decide; single
-values, such as the spectrum header and the oracle row, use _fmt.
+edgecurrents.table, which looks up the bytes of '%.17g' % v in tables, as
+32-byte cells of four little-endian words, and leaves to '%' itself only the
+values whose rounding its estimate cannot decide; single values, such as the
+spectrum header and the oracle row, use _fmt.
 
-Exit codes: 0 success, 1 oracle FAIL, 2 usage error, 3 rejected parameter
-(gamma = +-1 on a restricted operation, or any argument outside an
-operation's domain).
+Exit codes: 0 success, 1 oracle FAIL, 2 usage error (an --out that cannot be
+written included), 3 rejected parameter (gamma = +-1 on a restricted
+operation, or any argument outside an operation's domain).
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterable
 from itertools import chain
 
 from .errors import EdgeCurrentsError, NonConvergent, OutOfDomain
-from .multifermion import FermionSystem, residuals, solve_system
 from .params import (ModelParams, ProjectiveReal, _reject_cpt_invariant, as_gamma,
                      boundary_character, cpt_dual, halfplane_dual, reflection_dual)
 
@@ -60,6 +61,14 @@ def positive_float(text: str) -> float:
 
 def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:
     return tuple(as_gamma(s) for s in text.split(","))
+
+
+def out_path(text: str) -> str:
+    """A file to write: not a directory, in a directory that exists and is writable."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValueError(text)
+    return text
 
 
 def _write(path: str | None, texts: Iterable[str], stream=None) -> None:
@@ -156,6 +165,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_constraints(args: argparse.Namespace) -> int:
+    from .multifermion import FermionSystem, residuals, solve_system  # only this subcommand
     if args.solve is not None:
         systems = solve_system(args.solve, args.fix)
         report = {
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-min", dest="k_min", type=finite_float, default=-2.0)
     sp.add_argument("--k-max", dest="k_max", type=finite_float, default=2.0)
     sp.add_argument("--points", type=positive_int, default=41)
-    sp.add_argument("--out", type=str, default=None)
+    sp.add_argument("--out", type=out_path, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
     pr = sub.add_parser("profile", parents=[species],
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--lambda", dest="Lambda", type=positive_float, default=None,
                     help="report the ln(Lambda) delta' coefficient at this rapidity cutoff, "
                          "|k| <~ Lambda sqrt(l^2+m^2)/2 (see edgecurrents.currents)")
-    pr.add_argument("--out", type=str, default=None)
+    pr.add_argument("--out", type=out_path, default=None)
     pr.set_defaults(func=cmd_profile)
 
     orc = sub.add_parser("oracle", help="closed form vs quadrature comparison")

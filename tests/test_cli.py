@@ -197,6 +197,22 @@ def test_profile_writes_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["profile", "--m", "1", "--gamma", "2", "--points", "3"],
+                                  ["spectrum", "--m", "1", "--gamma", "2", "--points", "3"]])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    # an --out in a directory that does not exist, or that is a directory, is rejected by the
+    # parser (exit 2, one error line naming it) before anything runs or is written
+    out = tmp_path / "missing" / "table.csv" if where == "missing directory" else tmp_path
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage:") and captured.err.count("error:") == 1
+    assert f"argument --out: invalid out_path value: '{out}'" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_edge_pass(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "--m", "1", "--gamma", "2", "--x", "0.7",
                                     "--what", "edge"])
@@ -527,7 +543,8 @@ def modules_after_main(argvs):
               f"    codes = [main(a.split()) for a in {argvs!r}]\n"
               "heavy = ('numpy', 'edgecurrents.oracle', 'edgecurrents.fd',\n"
               "         'edgecurrents.spectrum', 'edgecurrents.currents',\n"
-              "         'edgecurrents.table', 'dataclasses', 'fractions', 'decimal')\n"
+              "         'edgecurrents.table', 'edgecurrents.multifermion',\n"
+              "         'dataclasses', 'fractions', 'decimal')\n"
               "print(codes, [n for n in heavy if n in sys.modules])\n")
     res = run_fresh(["-c", script])
     assert res.returncode == 0, res.stderr
@@ -537,13 +554,15 @@ def modules_after_main(argvs):
 def test_scalar_subcommands_skip_numpy():
     # constraints and dual are math on a few gammas, and spectrum and profile reject before
     # numpy; spectrum and profile load no oracle or fd, profile no spectrum, and no
-    # subcommand loads dataclasses.  Only the two tables load the table formatter, and
-    # it builds its constants from ints, without fractions or decimal
-    assert modules_after_main(["constraints --gammas 2,-0.5", "constraints --solve 2 --fix 2",
-                               "dual --m 1 --gamma 0 --which reflection",
+    # subcommand loads dataclasses.  Only constraints loads multifermion.  Only the two
+    # tables load the table formatter, and it builds its constants from ints, without
+    # fractions or decimal
+    assert modules_after_main(["constraints --gammas 2,-0.5", "constraints --solve 2 --fix 2"]
+                              ) == "[0, 0] ['edgecurrents.multifermion']\n"
+    assert modules_after_main(["dual --m 1 --gamma 0 --which reflection",
                                "profile --m 1 --gamma 1",
                                "spectrum --m 1 --gamma 2 --k-min -1e308 --k-max 1e308"]
-                              ) == "[0, 0, 0, 3, 3] []\n"
+                              ) == "[0, 3, 3] []\n"
     assert modules_after_main(["spectrum --m 1 --gamma 2 --points 5",
                                "profile --m 1 --gamma 2 --points 5"]) == (
         "[0, 0] ['numpy', 'edgecurrents.spectrum', 'edgecurrents.currents', "

@@ -1,5 +1,7 @@
 """The column formatter of the CLI tables against Python's own '%.17g' % v, byte for byte."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,33 @@ def test_integers_and_quarter_ties_above_1e15():
     ties = 1e15 + 0.25 * (2.0 * k + 1.0)  # 17 significant digits end in a 5 that is exact
     assert_same(np.concatenate([ints, ties, -ties]))
     # an exact half-way case is never decided by the double-double estimate, but by '%'
-    _, _, slow = table._decimal(ties, np.full((6, 2 * table._E0), np.nan))
+    _, _, slow = table._decimal(ties, np.full((4, 4 * table._E0), np.nan))
     assert slow.all()
+
+
+def test_fixed_notation_digit_counts_and_point_positions_match_percent_format():
+    # in fixed notation with 1 <= X <= 15 the trailing-zero mask and the byte shift of the point
+    # meet, a case random bit patterns almost never reach: a digit count n < 17 with the point
+    # among the digits.  Draw every X from -6 to 18 uniformly per decade; dyadic k / 2^j, whose
+    # j digits after the point put the point inside n = X + 1 + j digits up to 17, and past 17
+    # round into the carry to word 3; and integers m 10^z of n < X + 1 significant digits
+    rng = np.random.default_rng(23)
+    decades = [rng.uniform(10.0**x, 10.0**(x + 1), 300) for x in range(-6, 19)]
+    dyadic = []
+    for x in range(-6, 19):
+        for j in range(-12, 60):
+            lo, hi = max(10.0**x * 2.0**j, 1.0), min(10.0**(x + 1) * 2.0**j, 2.0**53 - 2)
+            if lo < hi:  # k odd and below 2^53: k / 2^j is exact
+                k = rng.integers(math.ceil(lo), math.floor(hi), 4, endpoint=True) | 1
+                dyadic.append(np.ldexp(k.astype(float), -j))
+    ms = [rng.integers(10 ** (n - 1), 10**n, 8) // 10 * 10 + rng.integers(1, 10, 8)
+          for n in range(1, 18)]  # n digits, the last not 0
+    integers = [m * 10.0**z for m in ms for z in range(17)]
+    values = np.concatenate(decades + dyadic + integers)
+    assert_same(np.concatenate([values, -values]))
+    cases = {(len(t.split(".")[0]) - 1, len(t.replace(".", "").rstrip("0")))
+             for t in ("%.17g" % v for v in values.tolist()) if "e" not in t and t[0] != "0"}
+    assert cases >= {(x, n) for x in range(1, 16) for n in range(1, 18)}
 
 
 def test_rows_and_tail_bytes():
@@ -85,6 +112,15 @@ def test_many_blocks_match_percent_format():
 
 
 def test_digit_table_is_bytes_not_words():
-    # the lookup tables are built as bytes and written back as the same machine words
-    assert table._DIGITS4[1234:1235].view(np.uint8).tobytes() == b"1\x002\x003\x004\x00"
+    # the lookup tables are built as bytes and are little-endian words, so that a word written
+    # back, or shifted by whole bytes, is the same bytes on any host
+    assert table._DIGITS4.dtype == np.dtype("<u4") and table._EXP.dtype == np.dtype("<u8")
+    assert table._DIGITS4[1234:1235].view(np.uint8).tobytes() == b"1234"
     assert table._EXP[324 - 5:324 - 4].view(np.uint8).tobytes() == b"e-05\x00\x00\x00,"
+    assert table._EXP[324 + 3:324 + 4].view(np.uint8).tobytes() == b"\x00" * 7 + b","
+    lead = table._LEAD[table._LEAD_AT[324 - 2] + 100 + 2 * 7:][:1]  # -0.07, fixed notation
+    assert lead.view(np.uint8).tobytes() == b"-0.0\x00\x007\x00"
+    assert table._LEAD[table._LEAD_AT[324 + 0] + 2 * 3:][:1].view(np.uint8).tobytes() == (
+        b"\x00" * 6 + b"3.")  # X = 0: the point follows the first digit
+    assert "".join(table.csv_rows([np.array([1234.5, 1e-5, 3.0, -0.07])])) == (
+        "1234.5\n1.0000000000000001e-05\n3\n-0.070000000000000007\n")
