@@ -64,9 +64,10 @@ def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:
 
 
 def out_path(text: str) -> str:
-    """A file to write: not a directory, in a directory that exists and is writable."""
+    """A file to write: a name, not a directory, in a directory that exists and is writable."""
     folder = os.path.dirname(text) or "."
-    if os.path.isdir(text) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if not text or os.path.isdir(text) or not writable:
         raise ValueError(text)
     return text
 

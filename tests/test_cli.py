@@ -199,11 +199,12 @@ def test_profile_writes_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["profile", "--m", "1", "--gamma", "2", "--points", "3"],
                                   ["spectrum", "--m", "1", "--gamma", "2", "--points", "3"]])
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
-    # an --out in a directory that does not exist, or that is a directory, is rejected by the
-    # parser (exit 2, one error line naming it) before anything runs or is written
-    out = tmp_path / "missing" / "table.csv" if where == "missing directory" else tmp_path
+    # an --out in a directory that does not exist, that is a directory, or that is empty is
+    # rejected by the parser (exit 2, one error line naming it) before anything runs or is written
+    out = {"missing directory": tmp_path / "missing" / "table.csv", "directory": tmp_path,
+           "empty": ""}[where]
     with pytest.raises(SystemExit) as stop:
         main([*argv, "--out", str(out)])
     captured = capsys.readouterr()
