@@ -64,10 +64,13 @@ def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:
 
 
 def out_path(text: str) -> str:
-    """A file to write: a name, not a directory, in a directory that exists and is writable."""
+    """A file to write: a name, not a directory, in a directory that exists and is writable.
+
+    Its <out>.json, where profile writes its sidecar, must not be a directory either.
+    """
     folder = os.path.dirname(text) or "."
     writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
-    if not text or os.path.isdir(text) or not writable:
+    if not text or os.path.isdir(text) or os.path.isdir(text + ".json") or not writable:
         raise ValueError(text)
     return text
 
@@ -120,13 +123,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                    dec.regular(xs), dec.singular.c_inv_x2 / (xs * xs))
     _write(args.out, chain(["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2\n"],
                            csv_rows(columns)))
-    sidecar = {
-        "m": p.m,
-        "gamma": _json_gamma(p.gamma),
-        "c_log_delta_prime": dec.singular.c_log_delta_prime,
-        "c_delta_prime": dec.singular.c_delta_prime,
-        "c_inv_x2": dec.singular.c_inv_x2,
-    }
+    sidecar = {"m": p.m, "gamma": _json_gamma(p.gamma), **dec.singular._asdict()}
     if args.Lambda is not None:
         sidecar["log_delta_prime_at_Lambda"] = dec.singular.c_log_delta_prime * math.log(args.Lambda)
     _write(None if args.out is None else args.out + ".json",
@@ -178,15 +175,9 @@ def cmd_constraints(args: argparse.Namespace) -> int:
     else:
         sys_ = FermionSystem(args.gammas)
         rep = residuals(sys_)
-        report = {
-            "gammas": [_json_gamma(g) for g in sys_.gammas],
-            "r_log": rep.r_log,
-            "r_x2": rep.r_x2,
-            "r_dipole": rep.r_dipole,
-            "r_plus": rep.r_plus,
-            "r_minus": rep.r_minus,
-            "verdict": "CANCELS" if rep.cancels() else "DIVERGENT",
-        }
+        report = {"gammas": [_json_gamma(g) for g in sys_.gammas], **rep._asdict(),
+                  "verdict": "CANCELS" if rep.cancels() else "DIVERGENT"}
+        del report["scale"]  # the bound of cancels(), not a residual
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 

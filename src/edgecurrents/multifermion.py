@@ -177,12 +177,16 @@ def _unit_sums(vp: float, vm: float, k: int, scale: float) -> list[list[tuple[in
             for rest in _unit_sums(vp - eta * z, vm - eta / z, k - 1, scale + (z + 1.0 / z) / 2.0)]
 
 
-def _dedupe(keys: list[tuple[float, ...]], tol: float = 1e-8) -> list[tuple[float, ...]]:
-    """Sorted keys, each dropped if within tol of a kept one (kept is sorted: scan its tail)."""
+def _dedupe(keys: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """Sorted keys, each dropped if within 1e-8 of a kept one (kept is sorted: scan its tail).
+
+    A set drops the exact duplicates first, keeping the first of equal keys (0.0 and -0.0 are
+    equal) as the stable sort and scan would.
+    """
     kept: list[tuple[float, ...]] = []
-    for key in sorted(keys):
-        near = takewhile(lambda k: not key[0] - k[0] >= tol, reversed(kept))
-        if not any(all(a == b or abs(a - b) < tol for a, b in zip(key, k)) for k in near):
+    for key in sorted(set(keys)):
+        near = takewhile(lambda k: not key[0] - k[0] >= 1e-8, reversed(kept))
+        if not any(all(a == b or abs(a - b) < 1e-8 for a, b in zip(key, k)) for k in near):
             kept.append(key)
     return kept
 
@@ -198,8 +202,8 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     species, and with two free species whose pinned partners do not cancel;
     with three or more free species, or two whose pinned partners already
     cancel, it is the sample of the solutions on that lattice.  Each further
-    free species multiplies the cost by ~10: (4, []) takes ~0.24 s, (5, [])
-    ~2 s and (6, [2]) ~8 s on a 2-core Intel Xeon.  A candidate is kept when
+    free species multiplies the cost by ~15: (4, []) takes ~0.09 s, (5, [])
+    ~1.6 s and (6, [2]) ~2.7 s on a 2-core Intel Xeon.  A candidate is kept when
     it cancels (``ResidualReport.cancels``), with both signs of every free
     gamma (the residuals are even in gamma) and without free gammas that
     round to +-1.

@@ -4,10 +4,11 @@ A finite |v| > 0 is f 2^e (np.frexp, 1/2 <= f < 1).  Its decimal exponent X
 is X0 = floor(log10 2^(e-1)) or X0 + 1, decided by comparing |v| with the
 least double >= 10^(X0+1).  Then y = f (2^e 10^(16-X)) lies in [1e16, 1e17).
 It is taken in double-double arithmetic (Dekker's exact product) from a
-constant built exactly with Python ints, once per binary exponent present,
-and its error is below 1e-14.  Its nearest integer q carries the 17
-significant digits of '%.17g'.  Where y lies within 1e-9 of a half-integer,
-that error could decide the rounding, and '%' formats the value itself.
+constant built exactly with Python ints, once per binary exponent per
+process, the first time a value meets that exponent, and its error is below
+1e-14.  Its nearest integer q carries the 17 significant digits of '%.17g'.
+Where y lies within 1e-9 of a half-integer, that error could decide the
+rounding, and '%' formats the value itself.
 
 Each value fills 32 bytes, NUL where unused: four little-endian words looked
 up in tables, so that a word written back is the same bytes on any host.
@@ -36,9 +37,9 @@ _WIDTH = 32  # bytes per value, four words; a "V32" view of a cell is one item
 _E0 = 1075  # frexp's binary exponents e lie in [-1073, 1024]; 2 (e + _E0) indexes the constants
 
 
-def _words(texts, width: int = 8, dtype: str = "<u8") -> np.ndarray:
-    """Byte strings, NUL-padded to width, as little-endian words: written back, the same bytes."""
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype)
+def _words(texts) -> np.ndarray:
+    """Byte strings of whole words as little-endian words: written back, the same bytes."""
+    return np.frombuffer(b"".join(texts), "<u8")
 
 
 _D = np.arange(48, 58, dtype=np.uint8)  # then the bytes of 0000 .. 9999, and their trailing zeros
@@ -53,11 +54,12 @@ _LEAD_AT = np.array([20 * (-5 < x < 0) * -x + (x < -4 or x > 16 or x == 0) for x
 _EXP = _words([(b"e%+03d" % x if x < -4 or x > 16 else b"").ljust(7, b"\0") + b"," for x in _XS])
 # the cell of a value that shows k digits, less digits k + 1 .. 17 and the point after a lone digit
 _KEEP = _words([b"\xff" * 7 + (b"\xff" if k > 1 else b"\0") + (b"\xff" * (k - 1)).ljust(16, b"\0")
-                + b"\xff" * 8 for k in range(18)], 32).reshape(18, 4)
+                + b"\xff" * 8 for k in range(18)]).reshape(18, 4)
 # words 1-2 of the bytes from byte p on, and of '.' at byte p, for a point after digit p + 1
 _POINT = _words([bytes(p) + b"\xff" * (16 - p) for p in range(16)]
-                + [bytes(p) + b"." for p in range(16)], 16).reshape(2, 16, 2)
-_SPECIAL = _words([t.ljust(31, b"\0") + b"," for t in b"0 -0 inf -inf nan".split()], 32).view("V32")
+                + [bytes(p) + b"." + bytes(15 - p) for p in range(16)]).reshape(2, 16, 2)
+_SPECIAL = _words([t.ljust(31, b"\0") + b"," for t in b"0 -0 inf -inf nan".split()]).view("V32")
+_SCALES = np.full((4, 4 * _E0), np.nan)  # the columns of _scale(e), nan until a value meets e
 
 
 def _scale(e: int) -> list:
@@ -86,18 +88,14 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _decimal(a: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For finite a > 0: q in [1e16, 1e17), X with a ~ q 10^(X-16), and where '%' must decide.
-
-    scales, (4, 4 _E0), holds the columns of _scale(e), nan where not yet
-    built; the exponents met first here are built.
-    """
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For finite a > 0: q in [1e16, 1e17), X with a ~ q 10^(X-16), and where '%' must decide."""
     f, e = np.frexp(a)
     k = 2 * (e + _E0)
-    for j in np.flatnonzero(np.bincount(k[np.isnan(scales[0].take(k))])).tolist():
-        scales[:, j:j + 2] = _scale(j // 2 - _E0)  # the exponents met first
-    k += a >= scales[0].take(k)
-    x, c_hi, c_lo = scales[1:].take(k, axis=1)
+    for j in np.flatnonzero(np.bincount(k[np.isnan(_SCALES[0].take(k))])).tolist():
+        _SCALES[:, j:j + 2] = _scale(j // 2 - _E0)  # the exponents met first
+    k += a >= _SCALES[0].take(k)
+    x, c_hi, c_lo = _SCALES[1:].take(k, axis=1)
     (f_hi, f_lo), (c_hh, c_hl) = _split(f), _split(c_hi)
     p = f * c_hi  # p + (f_hi c_hh - p + ... + f_lo c_hl) is f c_hi exactly
     lo = (((f_hi * c_hh - p) + f_hi * c_hl + f_lo * c_hh) + f_lo * c_hl) + f * c_lo
@@ -108,10 +106,10 @@ def _decimal(a: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return q, x, np.abs(lo - near) > 0.5 - 1e-9
 
 
-def _cells(v: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _cells(v: np.ndarray) -> np.ndarray:
     """The (len(v), 4) words whose bytes are '%.17g' % v NUL-padded, each followed by ','."""
     special = ~(np.abs(v) < math.inf) | (v == 0.0)  # nan, +-inf, +-0
-    q, x, slow = _decimal(np.where(special, math.pi, np.abs(v)), scales)  # pi: 17 digits at X = 0
+    q, x, slow = _decimal(np.where(special, math.pi, np.abs(v)))  # pi: 17 digits at X = 0
     hi = q // 10**8  # floor division by a constant is ~4x faster than divmod
     lo, d0 = q - hi * 10**8, hi // 10**8
     hi -= d0 * 10**8
@@ -148,10 +146,9 @@ def csv_rows(columns, tail: np.ndarray | None = None) -> Iterator[str]:
     Yields the text block by block.  tail, an (n, w) uint8 array, ends each
     row after a comma: its own bytes, newline included, NUL where unused.
     """
-    scales = np.full((4, 4 * _E0), np.nan)
     for start in range(0, len(columns[0]), _BLOCK):
         block = slice(start, start + _BLOCK)
-        rows = _cells(np.stack([c[block] for c in columns], axis=1).ravel(), scales).view(np.uint8)
+        rows = _cells(np.stack([c[block] for c in columns], axis=1).ravel()).view(np.uint8)
         rows = rows.reshape(-1, len(columns) * _WIDTH)
         if tail is None:
             rows[:, -1] = ord("\n")

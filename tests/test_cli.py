@@ -171,7 +171,21 @@ def test_profile_stdout_and_sidecar(capsys):
         assert abs(float(line.split(",")[4])) < 1e-12  # regular part vanishes at m = 0
     sidecar = json.loads(err)
     assert sidecar["gamma"] == 2.0
-    assert "c_log_delta_prime" in sidecar
+    assert sorted(sidecar) == ["c_delta_prime", "c_inv_x2", "c_log_delta_prime", "gamma", "m"]
+
+
+@pytest.mark.parametrize("Lambda", ["100", "2.5", "1e300"])
+def test_profile_sidecar_reports_the_log_coefficient_at_lambda(capsys, Lambda):
+    # --lambda adds c_log_delta_prime ln(Lambda); without it the key is absent
+    argv = ["profile", "--m", "1", "--gamma", "2", "--points", "3"]
+    code, out, err = run_cli(capsys, [*argv, "--lambda", Lambda])
+    sidecar = json.loads(err)
+    assert code == 0 and sidecar["c_log_delta_prime"] != 0.0
+    assert sidecar["log_delta_prime_at_Lambda"] == (
+        sidecar["c_log_delta_prime"] * math.log(float(Lambda)))
+    code, plain, err = run_cli(capsys, argv)
+    assert code == 0 and plain == out
+    assert json.loads(err) == {k: v for k, v in sidecar.items() if k != "log_delta_prime_at_Lambda"}
 
 
 def test_profile_at_float_limits_is_quiet(capsys):
@@ -199,19 +213,23 @@ def test_profile_writes_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["profile", "--m", "1", "--gamma", "2", "--points", "3"],
                                   ["spectrum", "--m", "1", "--gamma", "2", "--points", "3"]])
-@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty", "sidecar directory"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
-    # an --out in a directory that does not exist, that is a directory, or that is empty is
-    # rejected by the parser (exit 2, one error line naming it) before anything runs or is written
+    # an --out in a directory that does not exist, that is a directory, that is empty, or whose
+    # <out>.json (profile's sidecar) is a directory is rejected by the parser (exit 2, one error
+    # line naming it) before anything runs or is written
     out = {"missing directory": tmp_path / "missing" / "table.csv", "directory": tmp_path,
-           "empty": ""}[where]
+           "empty": "", "sidecar directory": tmp_path / "table.csv"}[where]
+    if where == "sidecar directory":
+        (tmp_path / "table.csv.json").mkdir()
+    before = sorted(tmp_path.iterdir())
     with pytest.raises(SystemExit) as stop:
         main([*argv, "--out", str(out)])
     captured = capsys.readouterr()
     assert stop.value.code == 2 and captured.out == ""
     assert captured.err.startswith("usage:") and captured.err.count("error:") == 1
     assert f"argument --out: invalid out_path value: '{out}'" in captured.err
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_oracle_edge_pass(capsys):
@@ -273,6 +291,7 @@ def test_constraints_report(capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "CANCELS"
     assert rep["r_log"] == 0.0
+    assert sorted(rep) == ["gammas", "r_dipole", "r_log", "r_minus", "r_plus", "r_x2", "verdict"]
     code, out, _ = run_cli(capsys, ["constraints", "--gammas", "2,3"])
     assert json.loads(out)["verdict"] == "DIVERGENT"
 

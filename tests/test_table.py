@@ -66,8 +66,25 @@ def test_integers_and_quarter_ties_above_1e15():
     ties = 1e15 + 0.25 * (2.0 * k + 1.0)  # 17 significant digits end in a 5 that is exact
     assert_same(np.concatenate([ints, ties, -ties]))
     # an exact half-way case is never decided by the double-double estimate, but by '%'
-    _, _, slow = table._decimal(ties, np.full((4, 4 * table._E0), np.nan))
+    _, _, slow = table._decimal(ties)
     assert slow.all()
+
+
+def test_constants_are_built_once_per_exponent_per_process(monkeypatch):
+    # the double-double constants of a binary exponent are built the first time a value meets
+    # it, and kept: a second call on the same columns builds none
+    monkeypatch.setattr(table, "_SCALES", np.full_like(table._SCALES, np.nan))
+    built, scale = [], table._scale
+    monkeypatch.setattr(table, "_scale", lambda e: built.append(e) or scale(e))
+    x = np.geomspace(1e-3, 60.0, 3 * table._BLOCK + 7)
+    cols = [x, np.exp(-2.0 * x), -1.0 / (x * x)]
+    want = "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in zip(*(c.tolist() for c in cols)))
+    assert "".join(table.csv_rows(cols)) == want
+    first = len(built)
+    assert first >= 1 and len(set(built)) == first
+    assert "".join(table.csv_rows(cols)) == want
+    assert len(built) == first
 
 
 def test_fixed_notation_digit_counts_and_point_positions_match_percent_format():
