@@ -7,11 +7,16 @@ spectrum and profile tables are formatted column by column in numpy by
 edgecurrents.table, which looks up the bytes of '%.17g' % v in tables, as
 32-byte cells of four little-endian words, and leaves to '%' itself only the
 values whose rounding its estimate cannot decide; single values, such as the
-spectrum header and the oracle row, use _fmt.
+spectrum header and the oracle row, use _fmt.  The profile table takes its
+four smooth columns from one CurrentDecomposition.profiles call.
+
+main builds its argparse parser once per process, on its first call, and
+reuses it: the type= callables and the cmd_* functions are the ones bound
+when it was built, and every call still runs every check, --out's included.
 
 Exit codes: 0 success, 1 oracle FAIL, 2 usage error (an --out that cannot be
-written included), 3 rejected parameter (gamma = +-1 on a restricted
-operation, or any argument outside an operation's domain).
+written, or a --lambda of at most 1, included), 3 rejected parameter (gamma =
++-1 on a restricted operation, or any argument outside an operation's domain).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable
+from functools import cache
 from itertools import chain
 
 from .errors import EdgeCurrentsError, NonConvergent, OutOfDomain
@@ -55,6 +61,12 @@ def finite_float(text: str) -> float:
 
 def positive_float(text: str) -> float:
     if not 0.0 < (v := float(text)) < math.inf:
+        raise ValueError(text)
+    return v
+
+
+def rapidity_cutoff(text: str) -> float:
+    if not 1.0 < (v := float(text)) < math.inf:  # the window (1/Lambda, Lambda) is not empty
         raise ValueError(text)
     return v
 
@@ -119,8 +131,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     dec = total_decomposition(p)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf, nan at extreme x
-        columns = (xs, dec.bulk_smooth(xs), dec.edge_smooth(xs), dec.total_smooth(xs),
-                   dec.regular(xs), dec.singular.c_inv_x2 / (xs * xs))
+        columns = (xs, *dec.profiles(xs), dec.singular.c_inv_x2 / (xs * xs))
     _write(args.out, chain(["x,j2_bulk_smooth,j2_edge_smooth,j2_total,j2_regular,c_x2_over_x2\n"],
                            csv_rows(columns)))
     sidecar = {"m": p.m, "gamma": _json_gamma(p.gamma), **dec.singular._asdict()}
@@ -226,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--x-min", dest="x_min", type=positive_float, default=0.1)
     pr.add_argument("--x-max", dest="x_max", type=positive_float, default=5.0)
     pr.add_argument("--points", type=positive_int, default=50)
-    pr.add_argument("--lambda", dest="Lambda", type=positive_float, default=None,
-                    help="report the ln(Lambda) delta' coefficient at this rapidity cutoff, "
-                         "|k| <~ Lambda sqrt(l^2+m^2)/2 (see edgecurrents.currents)")
+    pr.add_argument("--lambda", dest="Lambda", type=rapidity_cutoff, default=None,
+                    help="report the ln(Lambda) delta' coefficient at this rapidity cutoff "
+                         "Lambda > 1, |k| <~ Lambda sqrt(l^2+m^2)/2 (see edgecurrents.currents)")
     pr.add_argument("--out", type=out_path, default=None)
     pr.set_defaults(func=cmd_profile)
 
@@ -252,8 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = cache(build_parser)  # one parser per process, built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.command == "constraints":
         if (args.gammas is None) == (args.solve is None):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,9 @@ import pytest
 
 from edgecurrents import (ModelParams, as_gamma, edge_dispersion, edge_mode_at_k,
                           total_decomposition)
+from edgecurrents import cli
 from edgecurrents.cli import main
+from cli_sweep import CASES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -394,6 +397,9 @@ def test_oracle_usage_errors(capsys, extra):
       "--k-max=-1.7976931348623157e308", "--points", "5"], "k_min=1.7976931348623157e+308"),
     # a finite gamma whose inverse overflows
     (["dual", "--m", "1", "--gamma", "1e-320", "--which", "reflection"], "1/gamma overflows"),
+    # the rapidity window (1/Lambda, Lambda) is empty: a usage error, not a sign-flipped c_log
+    (["profile", "--m", "1", "--gamma", "2", "--lambda", "0.5"], "rapidity_cutoff value: '0.5'"),
+    (["profile", "--m", "1", "--gamma", "2", "--lambda", "1"], "rapidity_cutoff value: '1'"),
 ])
 def test_bad_input_is_one_line(capsys, argv, named):
     # an exception escaping main would be a traceback, and any warning fails here
@@ -523,6 +529,48 @@ def test_usage_error_exit_code(capsys):
         main(["spectrum", "--m", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main builds its parser on its first call and keeps it; later calls, after a usage error or
+    # a rejected parameter too, print the bytes of the first, and still run every check
+    cli._parser.cache_clear()
+    argv = ["profile", "--m", "1", "--gamma", "2", "--points", "5"]
+    first = run_cli(capsys, [*argv, "--lambda", "100"])
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["profile", "--m", "1", "--points", "5"])
+    assert stop.value.code == 2 and "--gamma" in capsys.readouterr().err
+    assert run_cli(capsys, ["profile", "--m", "1", "--gamma", "1"])[0] == 3
+    assert run_cli(capsys, [*argv, "--lambda", "100"]) == first
+    code, out, err = run_cli(capsys, argv)  # --lambda of an earlier call leaves no key
+    assert (code, out) == first[:2]
+    assert "log_delta_prime_at_Lambda" in first[2] and "log_delta_prime_at_Lambda" not in err
+    folder = tmp_path / "tables"
+    folder.mkdir()
+    assert main([*argv, "--out", str(folder / "t.csv")]) == 0
+    shutil.rmtree(folder)
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--out", str(folder / "t.csv")])
+    assert stop.value.code == 2 and "invalid out_path value" in capsys.readouterr().err
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 6)  # one parser built, for all 7 calls
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if not c.large], ids=lambda c: c.argv)
+def test_sweep_cases_exit_as_listed(tmp_path, capsys, monkeypatch, case):
+    # the cheap cases of tests/cli_sweep.py, in process: each exits with the code listed there
+    monkeypatch.chdir(tmp_path)
+    for d in case.dirs:
+        (tmp_path / d).mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(case.argv.split())
+        except SystemExit as exc:
+            code = exc.code
+    capsys.readouterr()
+    assert code == case.code
 
 
 def test_stdout_determinism(capsys):

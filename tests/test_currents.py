@@ -206,6 +206,30 @@ def test_decomposition_consistency(m, g):
         assert np.array_equal(f(xs), [f(float(x)) for x in xs])
 
 
+SHARED_TERM_XS = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.05, 5.0, 100)])
+
+
+@pytest.mark.parametrize("m", [-1.3, -1e-3, 0.0, 1e-3, 2.0])
+@pytest.mark.parametrize("g", [0.0, "inf", 0.5, -0.5, 2.0, -2.0, 1e200, -1e200, 1 + 1e-9,
+                               1 - 1e-9, -(1 + 1e-9), -(1 - 1e-9)])
+def test_profiles_share_terms_bit_for_bit(m, g):
+    # profiles(x) evaluates the terms that the four profiles share once, and gives each the bits
+    # it has alone, at array and scalar x, under cmd_profile's errstate: 1/x^2 overflows and
+    # underflows at the ends of the geometric grid
+    dec = total_decomposition(ModelParams(m, as_gamma(g)))
+    for x in (SHARED_TERM_XS, 0.7, 1e-300):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            together = dec.profiles(x)
+            alone = [f(x) for f in (dec.bulk_smooth, dec.edge_smooth, dec.total_smooth,
+                                    dec.regular)]
+        assert len(together) == 4
+        for got, want in zip(together, alone):
+            assert type(got) is type(want)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
 def test_negative_mass_via_reflection():
     # j^2 at (-m, gamma) equals -j^2 at (m, -1/gamma); at these gammas -1/gamma is exact, so
     # the profiles agree bit for bit with those at reflection_dual(p)

@@ -175,3 +175,6 @@ def test_total_and_regular_match_mpmath(sign, m, g, x):
         assert abs(dec.regular(x) - sign * regular) <= 1e-14 * regular_scale + 1e-300
         for got, ref in ((dec.bulk_smooth(x), bulk), (dec.edge_smooth(x), edge)):
             assert abs(got - sign * ref) <= 1e-14 * (total_scale + abs(ref)) + 1e-300
+    # profiles(x), the four from their shared terms at once, are the four bit for bit
+    four = (dec.bulk_smooth(x), dec.edge_smooth(x), dec.total_smooth(x), dec.regular(x))
+    assert [v.hex() for v in dec.profiles(x)] == [v.hex() for v in four]
