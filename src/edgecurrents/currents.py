@@ -73,8 +73,8 @@ class SingularPart(NamedTuple):
     c_inv_x2: float
 
 
-def _closed_form(p: ModelParams, x: float | np.ndarray, *names: str) -> list:
-    """Smooth profiles at x > 0 and any m, one per name: "bulk", "edge", "total" or "regular".
+def _closed_form(p: ModelParams, x: float | np.ndarray) -> tuple:
+    """The smooth profiles (bulk, edge, total, regular) at x > 0 and any m.
 
     x broadcasts.  All four come from one set of terms, in the homogeneous
     coordinates (a, b) of params._homogeneous, gamma = b/a: c = ab/(2 pi
@@ -82,15 +82,14 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, *names: str) -> list:
     and phi(t) = (1+t) e^{-t} = 1 - psi(t).  The bulk and edge exponentials
     c u phi(s) and 2c u phi(t) Theta(g), the tail 2c u Theta(g^2-1) that
     bulk and edge carry with opposite signs, and 2c u psi(t) Theta(g) are
-    evaluated only if a named profile needs them, and then once for all of
-    them: a profile has the same bits alone or with the others.  The total,
-    and the regular part total - c_inv_x2/x^2 with c_inv_x2/x^2 = -c u
-    sgn(g), cancel the tails in the formula, not in floats: c u [phi(s) -
-    2 phi(t) Theta(g)] and c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at
-    m = 0.  At m < 0 the profile is minus the one at the exact reflection
-    dual (-m, -1/gamma) of params._nonnegative_mass, as in
-    oracle.oracle_bulk_current; every term is homogeneous of degree 0 in
-    (a, b).  Rejects any x outside (0, inf), nan included, and gamma = +-1.
+    each evaluated once for all four.  The total, and the regular part
+    total - c_inv_x2/x^2 with c_inv_x2/x^2 = -c u sgn(g), cancel the tails
+    in the formula, not in floats: c u [phi(s) - 2 phi(t) Theta(g)] and
+    c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at m = 0.  At m < 0 the
+    profile is minus the one at the exact reflection dual (-m, -1/gamma) of
+    params._nonnegative_mass, as in oracle.oracle_bulk_current; every term
+    is homogeneous of degree 0 in (a, b).  Rejects any x outside (0, inf),
+    nan included, and gamma = +-1.
     """
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < math.inf)
@@ -100,24 +99,17 @@ def _closed_form(p: ModelParams, x: float | np.ndarray, *names: str) -> list:
     sign, m, a, b = _nonnegative_mass(p)
     c = a * b / (2.0 * math.pi * ((b - a) * (b + a)))
     u, s = 1.0 / (2.0 * x * x), 2.0 * m * x
+    bulk_exp = c * (u + m / x) * np.exp(-s)
+    tail = 2.0 * c * u * (1.0 if abs(b) > a else 0.0)
     t = s * a / b if b > 0 else None
-    bulk_exp = lambda: c * (u + m / x) * np.exp(-s)  # noqa: E731
-    edge_exp = lambda: 2.0 * c * (u + m * a / (b * x)) * np.exp(-t) if b > 0 else 0.0  # noqa: E731
-    tail = lambda: 2.0 * c * u * (1.0 if abs(b) > a else 0.0)  # noqa: E731
-    edge_psi = lambda: 2.0 * c * u * _psi(t)  # noqa: E731
-    kept = {}  # a term is evaluated by the first profile that needs it, and kept for the others
-    once = lambda term: kept[term] if term in kept else kept.setdefault(term, term())  # noqa: E731
-    profiles = {
-        "bulk": lambda: once(bulk_exp) - once(tail),
-        # gamma = 0 has no edge states: +0.0 at every x, where tail is -0.0, or nan as u overflows
-        "edge": lambda: (np.zeros_like(x) if b == 0.0 else
-                         once(edge_psi) if b > a else once(tail) - once(edge_exp)),
-        # + 0.0, and in the regular part the two products apart: a profile that vanishes
-        # (where both terms underflow, or at m = 0) is +0.0 at either sign of c
-        "total": lambda: once(bulk_exp) - once(edge_exp) + 0.0,
-        "regular": lambda: (once(edge_psi) if b > 0 else 0.0) - c * u * _psi(s),
-    }
-    return [sign * _as_output(profiles[name]()) for name in names]
+    edge_exp = 2.0 * c * (u + m * a / (b * x)) * np.exp(-t) if b > 0 else 0.0
+    edge_psi = 2.0 * c * u * _psi(t) if b > 0 else 0.0
+    # gamma = 0 has no edge states: +0.0 at every x, where tail is -0.0, or nan as u overflows
+    edge = np.zeros_like(x) if b == 0.0 else edge_psi if b > a else tail - edge_exp
+    # + 0.0, and in the regular part the two products apart: a profile that vanishes
+    # (where both terms underflow, or at m = 0) is +0.0 at either sign of c
+    profiles = bulk_exp - tail, edge, bulk_exp - edge_exp + 0.0, edge_psi - c * u * _psi(s)
+    return tuple(sign * _as_output(v) for v in profiles)
 
 
 def _psi(t):
@@ -170,24 +162,26 @@ class CurrentDecomposition(NamedTuple):
     singular: SingularPart
 
     def bulk_smooth(self, x):
-        return _closed_form(self.params, x, "bulk")[0]
+        return _closed_form(self.params, x)[0]
 
     def edge_smooth(self, x):
-        return _closed_form(self.params, x, "edge")[0]
+        return _closed_form(self.params, x)[1]
 
     def total_smooth(self, x):
-        return _closed_form(self.params, x, "total")[0]
+        return _closed_form(self.params, x)[2]
 
     def regular(self, x):
-        return _closed_form(self.params, x, "regular")[0]
+        return _closed_form(self.params, x)[3]
 
     def profiles(self, x):
         """The four smooth profiles at x, from one evaluation of the terms they share.
 
-        (bulk_smooth(x), edge_smooth(x), total_smooth(x), regular(x)), bit for
-        bit: the four columns of the CLI's profile table.
+        (bulk_smooth(x), edge_smooth(x), total_smooth(x), regular(x)): each of
+        those methods returns its column of this tuple, so a profile has the
+        same bits whichever others are used.  The four columns of the CLI's
+        profile table.
         """
-        return tuple(_closed_form(self.params, x, "bulk", "edge", "total", "regular"))
+        return _closed_form(self.params, x)
 
 
 def total_decomposition(p: ModelParams) -> CurrentDecomposition:

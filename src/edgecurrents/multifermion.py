@@ -202,8 +202,10 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     species, and with two free species whose pinned partners do not cancel;
     with three or more free species, or two whose pinned partners already
     cancel, it is the sample of the solutions on that lattice.  Each further
-    free species multiplies the cost by ~15: (4, []) takes ~0.09 s, (5, [])
-    ~1.6 s and (6, [2]) ~2.7 s on a 2-core Intel Xeon.  A candidate is kept when
+    free species multiplies the cost by ~15 to ~100: (4, []) takes ~0.07 s,
+    (5, []) 1.2-1.5 s for 6712 systems and (6, []) 144-152 s for 38031 on a
+    2-core Intel Xeon, so at most 5 gammas may be free: more raise
+    OutOfDomain before anything is enumerated.  A candidate is kept when
     it cancels (``ResidualReport.cancels``), with both signs of every free
     gamma (the residuals are even in gamma) and without free gammas that
     round to +-1.
@@ -214,12 +216,12 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     """
     if not float(n).is_integer() or n < 2:
         raise OutOfDomain(f"need an integral number n >= 2 of species, got n={n}")
-    if len(fixed) >= n:
-        raise OutOfDomain("fixed gammas must leave one free")
+    if not 1 <= (n_free := int(n) - len(fixed)) <= 5:
+        raise OutOfDomain(f"need 1 to 5 free gammas, got {n_free} (n={n}, {len(fixed)} fixed)")
     pinned = FermionSystem(tuple(fixed))
     rep = residuals(pinned)
     keys = []
-    for units in _unit_sums(-rep.r_plus, -rep.r_minus, n - len(fixed), rep.scale):
+    for units in _unit_sums(-rep.r_plus, -rep.r_minus, n_free, rep.scale):
         free = [_gamma_from_ratio(eta * z) for eta, z in units]
         if any(map(_is_unit, free)):
             continue

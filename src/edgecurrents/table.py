@@ -6,11 +6,9 @@ least double >= 10^(X0+1).  Then y = f (2^e 10^(16-X)) lies in [1e16, 1e17).
 It is taken in double-double arithmetic (Dekker's exact product) from a
 constant built exactly with Python ints, once per binary exponent per
 process, the first time a value meets that exponent, and its error is below
-1e-14.  The constant is kept already split into the halves of the product,
-so each value splits only its own f.  The nearest integer q of y carries
-the 17 significant digits of '%.17g'.  Where y lies within 1e-9 of a
-half-integer, that error could decide the rounding, and '%' formats the
-value itself.
+1e-14.  Its nearest integer q carries the 17 significant digits of '%.17g'.
+Where y lies within 1e-9 of a half-integer, that error could decide the
+rounding, and '%' formats the value itself.
 
 Each value fills 32 bytes, NUL where unused: four little-endian words looked
 up in tables, so that a word written back is the same bytes on any host.
@@ -61,16 +59,15 @@ _KEEP = _words([b"\xff" * 7 + (b"\xff" if k > 1 else b"\0") + (b"\xff" * (k - 1)
 _POINT = _words([bytes(p) + b"\xff" * (16 - p) for p in range(16)]
                 + [bytes(p) + b"." + bytes(15 - p) for p in range(16)]).reshape(2, 16, 2)
 _SPECIAL = _words([t.ljust(31, b"\0") + b"," for t in b"0 -0 inf -inf nan".split()]).view("V32")
-_SCALES = np.full((6, 4 * _E0), np.nan)  # the columns of _scale(e), nan until a value meets e
+_SCALES = np.full((4, 4 * _E0), np.nan)  # the columns of _scale(e), nan until a value meets e
 
 
 def _scale(e: int) -> list:
     """The constants of binary exponent e, in columns 2 (e + _E0) + bump for bump = 0, 1.
 
-    They are the least double >= 10^(X0+1) (in both), X = X0 + bump,
-    2^e 10^(16-X) as a double-double hi + lo, where X0 = floor(log10 2^(e-1)),
-    and the halves _split(hi), taken in float arithmetic with no numpy call.
-    The other doubles are each an int / int, which is correctly rounded.
+    They are the least double >= 10^(X0+1) (in both), X = X0 + bump and
+    2^e 10^(16-X) as a double-double hi + lo, where X0 = floor(log10 2^(e-1)).
+    Each double is an int / int, which is correctly rounded.
     """
     x0 = math.floor((e - 1) * math.log10(2.0))  # exact: (e-1) log10 2 is never near an integer
     num, den = 10 ** max(x0 + 1, 0), 10 ** max(-1 - x0, 0)
@@ -80,12 +77,12 @@ def _scale(e: int) -> list:
     for x in (x0, x0 + 1):
         num, den = 2 ** max(e, 0) * 10 ** max(16 - x, 0), 2 ** max(-e, 0) * 10 ** max(x - 16, 0)
         a, b = (num / den).as_integer_ratio()
-        hi_lo.append((a / b, (num * b - a * den) / (den * b), *_split(a / b)))
+        hi_lo.append((a / b, (num * b - a * den) / (den * b)))
     return [(thresh, thresh), (x0, x0 + 1), *zip(*hi_lo)]
 
 
-def _split(a):
-    """a = hi + lo, each of at most 26 significant bits (Dekker's split); a float or an array."""
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo, each of at most 26 significant bits (Dekker's split)."""
     t = 134217729.0 * a  # 2^27 + 1
     hi = t - (t - a)
     return hi, a - hi
@@ -95,11 +92,13 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For finite a > 0: q in [1e16, 1e17), X with a ~ q 10^(X-16), and where '%' must decide."""
     f, e = np.frexp(a)
     k = 2 * (e + _E0)
-    for j in np.flatnonzero(np.bincount(k[np.isnan(_SCALES[0].take(k))])).tolist():
-        _SCALES[:, j:j + 2] = _scale(j // 2 - _E0)  # the exponents met first
-    k += a >= _SCALES[0].take(k)
-    x, c_hi, c_lo, c_hh, c_hl = _SCALES[1:].take(k, axis=1)
-    f_hi, f_lo = _split(f)
+    if np.isnan(thresh := _SCALES[0].take(k)).any():  # the exponents met first: build, regather
+        for j in np.flatnonzero(np.bincount(k[np.isnan(thresh)])).tolist():
+            _SCALES[:, j:j + 2] = _scale(j // 2 - _E0)
+        thresh = _SCALES[0].take(k)
+    k += a >= thresh
+    x, c_hi, c_lo = _SCALES[1:].take(k, axis=1)
+    (f_hi, f_lo), (c_hh, c_hl) = _split(f), _split(c_hi)
     p = f * c_hi  # p + (f_hi c_hh - p + ... + f_lo c_hl) is f c_hi exactly
     lo = (((f_hi * c_hh - p) + f_hi * c_hl + f_lo * c_hh) + f_lo * c_hl) + f * c_lo
     near = np.rint(lo)

@@ -124,6 +124,7 @@ CASES = [
     Case("oracle --m 1 --gamma 2 --x 1e-160 --what bulk", 3),
     Case("oracle --m -1 --x 1 --what branch-cut", 3),
     Case("constraints --gammas 2,1", 3),
+    Case("constraints --solve 40", 3),
     Case("dual --m 1 --gamma 1e-320 --which reflection", 3),
 ]
 

@@ -400,6 +400,8 @@ def test_oracle_usage_errors(capsys, extra):
     # the rapidity window (1/Lambda, Lambda) is empty: a usage error, not a sign-flipped c_log
     (["profile", "--m", "1", "--gamma", "2", "--lambda", "0.5"], "rapidity_cutoff value: '0.5'"),
     (["profile", "--m", "1", "--gamma", "2", "--lambda", "1"], "rapidity_cutoff value: '1'"),
+    # a solve with more than 5 free gammas would enumerate for minutes or longer
+    (["constraints", "--solve", "40"], "need 1 to 5 free gammas, got 40"),
 ])
 def test_bad_input_is_one_line(capsys, argv, named):
     # an exception escaping main would be a traceback, and any warning fails here

@@ -213,9 +213,9 @@ SHARED_TERM_XS = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0
 @pytest.mark.parametrize("g", [0.0, "inf", 0.5, -0.5, 2.0, -2.0, 1e200, -1e200, 1 + 1e-9,
                                1 - 1e-9, -(1 + 1e-9), -(1 - 1e-9)])
 def test_profiles_share_terms_bit_for_bit(m, g):
-    # profiles(x) evaluates the terms that the four profiles share once, and gives each the bits
-    # it has alone, at array and scalar x, under cmd_profile's errstate: 1/x^2 overflows and
-    # underflows at the ends of the geometric grid
+    # profiles(x) evaluates the terms that the four profiles share once, and each single-profile
+    # method gives its column, at array and scalar x, under cmd_profile's errstate: 1/x^2
+    # overflows and underflows at the ends of the geometric grid
     dec = total_decomposition(ModelParams(m, as_gamma(g)))
     for x in (SHARED_TERM_XS, 0.7, 1e-300):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -228,6 +228,20 @@ def test_profiles_share_terms_bit_for_bit(m, g):
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
+@pytest.mark.parametrize("m", [-1.3, -1e-3, 0.0, 1e-3, 2.0, 700.0])
+@pytest.mark.parametrize("g", [0.0, "inf", 2.0, -2.0, 0.5, -0.5, 1e200, -1e200, 1 + 1e-9,
+                               1 - 1e-9])
+def test_profiles_raise_no_floating_point_fault(m, g):
+    # every profile evaluates all the shared terms, so none may overflow, divide by zero or
+    # turn invalid on the documented x range, whichever profile is asked for
+    dec = total_decomposition(ModelParams(m, as_gamma(g)))
+    for x in (np.geomspace(0.05, 5.0, 200), 0.7):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            dec.profiles(x)
+            for f in (dec.bulk_smooth, dec.edge_smooth, dec.total_smooth, dec.regular):
+                f(x)
 
 
 def test_negative_mass_via_reflection():

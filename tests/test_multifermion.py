@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,16 @@ def test_solve_system_validation():
         solve_system(2, [2.0, 3.0])
     with pytest.raises(CptInvariantBoundary):
         solve_system(2, [1.0])
+
+
+def test_solve_system_bounds_the_free_species():
+    # each free species multiplies the enumeration (n = 6 took minutes): more than 5 free
+    # gammas are rejected before anything is enumerated
+    for n, fixed in ((6, []), (40, [2.0]), (8, [2.0, -0.5])):
+        start = time.perf_counter()
+        with pytest.raises(OutOfDomain, match=f"got {n - len(fixed)} "):
+            solve_system(n, fixed)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_solve_system_needs_an_integral_n():
