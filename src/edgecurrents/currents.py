@@ -115,8 +115,8 @@ def _closed_form(p: ModelParams, x: float | np.ndarray) -> tuple:
 def _psi(t):
     """psi(t) = 1 - (1+t) e^{-t}, without its cancellation at small t; each branch only where used."""
     t = np.minimum(t, 1e3)  # psi is 1.0 from t ~ 40 on; t e^{-t} would be nan at t = inf
-    if t.ndim == 0:
-        return _psi_series(t) if t < 0.5 else _psi_expm1(t)
+    if t.ndim == 0:  # Python floats: the Horner steps as float64 without numpy-scalar overhead
+        return _psi_series(float(t)) if t < 0.5 else _psi_expm1(float(t))
     out = np.empty_like(t)
     small = t < 0.5
     out[small] = _psi_series(t[small])

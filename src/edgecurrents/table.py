@@ -20,9 +20,11 @@ up in tables, so that a word written back is the same bytes on any host.
   word 3    'e+dd[d]' or NULs, then the separator in byte 7.
 In fixed notation with 1 <= X <= 15 the point goes after digit X + 1: the
 digits behind it move up a byte, the last into byte 0 of word 3.  nan, +-inf
-and +-0 are formatted as a finite stand-in, and their cells then overwritten.
-The NULs are dropped at the end.  The rows go out in blocks of _BLOCK, which
-bounds the memory in use.
+and +-0 have no digits: where a block holds any, only its other values go
+through the steps above, as a block of their own, and each row is then taken
+from those cells or from a table of the five; a block without them is
+formatted in place.  The NULs are dropped at the end.  The rows go out in
+blocks of _BLOCK, which bounds the memory in use.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ _KEEP = _words([b"\xff" * 7 + (b"\xff" if k > 1 else b"\0") + (b"\xff" * (k - 1)
 # words 1-2 of the bytes from byte p on, and of '.' at byte p, for a point after digit p + 1
 _POINT = _words([bytes(p) + b"\xff" * (16 - p) for p in range(16)]
                 + [bytes(p) + b"." + bytes(15 - p) for p in range(16)]).reshape(2, 16, 2)
-_SPECIAL = _words([t.ljust(31, b"\0") + b"," for t in b"0 -0 inf -inf nan".split()]).view("V32")
+_SPECIAL = _words([t.ljust(31, b"\0") + b"," for t in b"0 -0 inf -inf nan".split()]).reshape(5, 4)
 _SCALES = np.full((4, 4 * _E0), np.nan)  # the columns of _scale(e), nan until a value meets e
 
 
@@ -108,16 +110,28 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, x, np.abs(lo - near) > 0.5 - 1e-9
 
 
-def _cells(v: np.ndarray) -> np.ndarray:
-    """The (len(v), 4) words whose bytes are '%.17g' % v NUL-padded, each followed by ','."""
-    special = ~(np.abs(v) < math.inf) | (v == 0.0)  # nan, +-inf, +-0
-    q, x, slow = _decimal(np.where(special, math.pi, np.abs(v)))  # pi: 17 digits at X = 0
+def _cells(v: np.ndarray, head: int = 0) -> np.ndarray:
+    """The (head + len(v), 4) words whose bytes are '%.17g' % v NUL-padded, each followed by ','.
+
+    nan, +-inf and +-0 have no digits: their rows are taken from _SPECIAL,
+    and the other values are formatted as a block of their own whose five
+    head rows hold _SPECIAL.  The head rows come first and are left unset;
+    only a block without such values has them.
+    """
+    if (special := ~(np.abs(v) < math.inf) | (v == 0.0)).any():
+        cells = _cells(v[~special], head=5)
+        cells[:5] = _SPECIAL
+        at = np.cumsum(~special) + 4  # the row of each value, special or not
+        at[special] = np.where(np.isnan(s := v[special]), 4, 2 * np.isinf(s) + np.signbit(s))
+        return cells.take(at, axis=0)
+    q, x, slow = _decimal(np.abs(v))
     hi = q // 10**8  # floor division by a constant is ~4x faster than divmod
     lo, d0 = q - hi * 10**8, hi // 10**8
     hi -= d0 * 10**8
     g1, g3 = hi // 10**4, lo // 10**4
     groups = (g1, hi - g1 * 10**4, g3, lo - g3 * 10**4)
-    cells = np.empty((v.size, 4), "<u8")  # rows move by take and "V32" views, ~10x faster than [i]
+    # rows move by take and "V32" views, ~10x faster than [i]
+    cells = (full := np.empty((head + v.size, 4), "<u8"))[head:]
     cells[:, 0] = _LEAD.take(_LEAD_AT.take(x + 324) + np.signbit(v) * 100 + d0 * 2)
     for col, g in enumerate(groups, 2):
         cells.view("<u4")[:, col] = _DIGITS4.take(g)
@@ -137,9 +151,7 @@ def _cells(v: np.ndarray) -> np.ndarray:
     cells.view("V32")[i, 0] = w.view("V32")[:, 0]
     for j in np.flatnonzero(slow).tolist():
         cells[j] = np.frombuffer(("%.17g" % v[j]).encode().ljust(_WIDTH - 1, b"\0") + b",", "<u8")
-    kind = np.where(np.isnan(s := v[special]), 4, 2 * np.isinf(s) + np.signbit(s))
-    cells.view("V32")[special, 0] = _SPECIAL.take(kind)
-    return cells
+    return full
 
 
 def csv_rows(columns, tail: np.ndarray | None = None) -> Iterator[str]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgecurrents import table
+from edgecurrents.cli import main
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -14,16 +15,16 @@ from hypothesis import strategies as st  # noqa: E402
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
-def formatted(values) -> str:
-    return "".join(table.csv_rows([np.asarray(values, dtype=float)]))
+def reference_rows(columns) -> str:
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in zip(*(c.tolist() for c in columns)))
 
 
-def reference(values) -> str:
-    return "".join(["%.17g\n" % v for v in np.asarray(values, dtype=float).tolist()])
-
-
-def assert_same(values):
-    got, want = formatted(values).splitlines(), reference(values).splitlines()
+def assert_same(*columns):
+    """csv_rows of the columns is '%.17g' % v row by row; a mismatch names its first rows."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    got = "".join(table.csv_rows(columns)).splitlines()
+    want = reference_rows(columns).splitlines()
     bad = [(g, w) for g, w in zip(got, want) if g != w]
     assert len(got) == len(want) and not bad, bad[:5]
 
@@ -78,12 +79,10 @@ def test_constants_are_built_once_per_exponent_per_process(monkeypatch):
     monkeypatch.setattr(table, "_scale", lambda e: built.append(e) or scale(e))
     x = np.geomspace(1e-3, 60.0, 3 * table._BLOCK + 7)
     cols = [x, np.exp(-2.0 * x), -1.0 / (x * x)]
-    want = "".join(",".join("%.17g" % v for v in row) + "\n"
-                   for row in zip(*(c.tolist() for c in cols)))
-    assert "".join(table.csv_rows(cols)) == want
+    assert_same(*cols)
     first = len(built)
     assert first >= 1 and len(set(built)) == first
-    assert "".join(table.csv_rows(cols)) == want
+    assert_same(*cols)
     assert len(built) == first
 
 
@@ -123,9 +122,7 @@ def test_rows_and_tail_bytes():
 def test_many_blocks_match_percent_format():
     x = np.geomspace(1e-3, 60.0, 3 * table._BLOCK + 7)
     cols = [x, np.exp(-2.0 * x), -1.0 / (x * x), np.zeros_like(x)]
-    want = "".join(",".join("%.17g" % v for v in row) + "\n"
-                   for row in zip(*(c.tolist() for c in cols)))
-    assert "".join(table.csv_rows(cols)) == want
+    assert_same(*cols)
 
 
 def test_digit_table_is_bytes_not_words():
@@ -141,3 +138,63 @@ def test_digit_table_is_bytes_not_words():
         b"\x00" * 6 + b"3.")  # X = 0: the point follows the first digit
     assert "".join(table.csv_rows([np.array([1234.5, 1e-5, 3.0, -0.07])])) == (
         "1234.5\n1.0000000000000001e-05\n3\n-0.070000000000000007\n")
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+def special_tables(n: int):
+    """Multi-column tables of n rows that mix nan, +-inf and +-0 with values that have digits."""
+    rng = np.random.default_rng(29)
+    digits = np.geomspace(1e-7, 1e7, n) * rng.choice([-1.0, 1.0], n)
+    ties = 1e15 + 0.25 * (2.0 * np.arange(n) + 1.0)  # half-way: '%' formats them
+    sprinkled = np.where(rng.random(n) < 0.3, rng.choice(SPECIALS, n), digits)
+    run = np.where((np.arange(n) >= table._BLOCK - 50) & (np.arange(n) < table._BLOCK + 50),
+                   np.nan, digits)  # a run of nan across the first block boundary
+    return {
+        "no-digits": [rng.choice(SPECIALS, n), np.zeros(n), np.full(n, np.nan), -np.zeros(n)],
+        "all-digits": [digits, np.exp(-digits * digits), -1.0 / digits],
+        "mixed": [digits, sprinkled, run, np.zeros(n), sprinkled[::-1]],
+        "ties-among-specials": [np.where(np.arange(n) % 3 == 0, np.nan, ties), np.zeros(n),
+                                np.where(np.arange(n) % 5 == 0, -np.inf, -ties)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(special_tables(1)))
+def test_tables_with_special_cells_match_percent_format(name):
+    # nan, +-inf and +-0 are taken from a table and only the other values of a block reach the
+    # digit steps: blocks with no such value, with only such values, with both across the
+    # block boundary, and with half-way values whose '%' fallback must find the right value
+    cols = special_tables(2 * table._BLOCK + 13)[name]
+    assert_same(*cols)
+
+
+def test_ties_among_specials_take_the_percent_fallback(monkeypatch):
+    # every value with digits in this table is half-way, so '%' formats each of them, found by
+    # its index among the values with digits of its block, not among all the block's values
+    slow, decimal = [], table._decimal
+    monkeypatch.setattr(table, "_decimal", lambda a: slow.append((r := decimal(a))[2]) or r)
+    cols = special_tables(table._BLOCK + 100)["ties-among-specials"]
+    assert_same(*cols)
+    assert len(slow) == 2 and all(s.all() for s in slow)
+    assert sum(s.size for s in slow) == sum(np.isfinite(c).sum() - (c == 0.0).sum() for c in cols)
+
+
+def test_only_values_with_digits_reach_the_digit_steps(monkeypatch, tmp_path):
+    seen, decimal = [], table._decimal
+    monkeypatch.setattr(table, "_decimal", lambda a: seen.append(a.copy()) or decimal(a))
+    cols = special_tables(2 * table._BLOCK + 13)["mixed"]
+    assert_same(*cols)
+    blocks = [np.stack(cols, axis=1)[start:start + table._BLOCK].ravel()
+              for start in range(0, len(cols[0]), table._BLOCK)]
+    want = [np.abs(b[np.isfinite(b) & (b != 0.0)]) for b in blocks]
+    assert len(seen) == len(want)
+    assert all(np.array_equal(got, w) for got, w in zip(seen, want))
+    # at gamma = inf five of the profile's six columns are 0: only x has digits
+    seen.clear()
+    out = tmp_path / "p.csv"
+    assert main(["profile", "--m", "1", "--gamma", "inf", "--x-min", "0.1", "--x-max", "5",
+                 "--points", "5000", "--out", str(out)]) == 0
+    assert len(seen) == 3
+    assert np.array_equal(np.concatenate(seen), np.geomspace(0.1, 5.0, 5000))
+    assert out.read_text().splitlines()[1] == "0.10000000000000001,0,0,0,0,0"
