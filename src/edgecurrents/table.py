@@ -114,9 +114,9 @@ def _cells(v: np.ndarray, head: int = 0) -> np.ndarray:
     """The (head + len(v), 4) words whose bytes are '%.17g' % v NUL-padded, each followed by ','.
 
     nan, +-inf and +-0 have no digits: their rows are taken from _SPECIAL,
-    and the other values are formatted as a block of their own whose five
-    head rows hold _SPECIAL.  The head rows come first and are left unset;
-    only a block without such values has them.
+    and the other values are formatted by the recursive call with head = 5,
+    whose first five rows then hold _SPECIAL.  head > 0 is only for v
+    without nan, +-inf or +-0: the head rows come first and are left unset.
     """
     if (special := ~(np.abs(v) < math.inf) | (v == 0.0)).any():
         cells = _cells(v[~special], head=5)
