@@ -27,7 +27,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import chain
 
@@ -47,28 +47,21 @@ def _json_gamma(g: ProjectiveReal) -> float | str:
     return "inf" if g.is_infinite else g.value
 
 
-def positive_int(text: str) -> int:
-    if (n := int(text)) < 1:
-        raise ValueError(text)
-    return n
+def _bounded(name: str, convert: Callable[[str], float], low: float) -> Callable[[str], float]:
+    """An argparse type: convert(text), rejected unless low < value < inf; its messages say name."""
+    def parse(text: str) -> float:
+        if not low < (v := convert(text)) < math.inf:  # nan is never in range
+            raise ValueError(text)
+        return v
+    parse.__name__ = parse.__qualname__ = name
+    return parse
 
 
-def finite_float(text: str) -> float:
-    if not math.isfinite(v := float(text)):
-        raise ValueError(text)
-    return v
-
-
-def positive_float(text: str) -> float:
-    if not 0.0 < (v := float(text)) < math.inf:
-        raise ValueError(text)
-    return v
-
-
-def rapidity_cutoff(text: str) -> float:
-    if not 1.0 < (v := float(text)) < math.inf:  # the window (1/Lambda, Lambda) is not empty
-        raise ValueError(text)
-    return v
+positive_int = _bounded("positive_int", int, 0)
+finite_float = _bounded("finite_float", float, -math.inf)
+positive_float = _bounded("positive_float", float, 0.0)
+# the window (1/Lambda, Lambda) is not empty
+rapidity_cutoff = _bounded("rapidity_cutoff", float, 1.0)
 
 
 def gamma_list(text: str) -> tuple[ProjectiveReal, ...]:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CptInvariantBoundary, OutOfDomain
 from .params import (BoundaryCharacter, GammaLike, ProjectiveReal, _checked_make,
-                     _gamma_from_ratio, _homogeneous, _is_unit, _singular_coefficients, as_gamma,
+                     _homogeneous, _is_unit, _projective, _singular_coefficients, as_gamma,
                      boost, boundary_character)
 
 
@@ -222,7 +222,8 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     rep = residuals(pinned)
     keys = []
     for units in _unit_sums(-rep.r_plus, -rep.r_minus, n_free, rep.scale):
-        free = [_gamma_from_ratio(eta * z) for eta, z in units]
+        # gamma = (r - 1)/(r + 1) of r = (1 + gamma)/(1 - gamma) = eta z; r = -1 is inf
+        free = [_projective(eta * z + 1.0, eta * z - 1.0) for eta, z in units]
         if any(map(_is_unit, free)):
             continue
         if not residuals(FermionSystem(pinned.gammas + tuple(free))).cancels():

@@ -42,14 +42,15 @@ class ProjectiveReal(NamedTuple("_ProjectiveReal", [("value", float | None)])):
         return self.value is None
 
     def inv(self) -> "ProjectiveReal":
-        """Projective inversion: inv(0) = inf, inv(inf) = 0; OutOfDomain if 1/gamma overflows."""
-        if self.is_infinite:
-            return ProjectiveReal(0.0)
-        if self.value == 0.0:
-            return ProjectiveReal()
-        if math.isinf(inv := 1.0 / self.value):
-            raise OutOfDomain(f"1/gamma overflows at gamma={self.value!r}")
-        return ProjectiveReal(inv)
+        """Projective inversion a/b of gamma = b/a: inv(0) = inf, inv(inf) = 0.
+
+        OutOfDomain if 1/gamma overflows, which only a subnormal gamma does.
+        """
+        a, b = _homogeneous(self)
+        try:
+            return _projective(b, a)
+        except OutOfDomain:
+            raise OutOfDomain(f"1/gamma overflows at gamma={self.value!r}") from None
 
     def neg(self) -> "ProjectiveReal":
         """Projective negation; -inf = inf."""
@@ -127,11 +128,17 @@ def _homogeneous(gamma: ProjectiveReal) -> tuple[float, float]:
     would overflow, and (0, 1) at gamma = inf.  So a >= 0, a^2 + b^2 never
     overflows, and every formula of gamma, written once in (a, b), covers the
     whole projective line; with a = 1 it is the plain formula in gamma.
+    _projective is the way back, from (a, b) to gamma.
     """
     g = gamma.value
     if g is None:
         return 0.0, 1.0
     return (1.0, g) if abs(g) <= 1e150 else (1.0 / abs(g), math.copysign(1.0, g))
+
+
+def _projective(a: float, b: float) -> ProjectiveReal:
+    """The inverse of _homogeneous: gamma = b/a, inf at a = 0; OutOfDomain if b/a overflows."""
+    return GAMMA_INFINITY if a == 0.0 else ProjectiveReal(b / a)
 
 
 def _nonnegative_mass(p: ModelParams) -> tuple[int, float, float, float]:
@@ -188,30 +195,12 @@ def boundary_character(gamma: GammaLike) -> BoundaryCharacter:
     """
     g = as_gamma(gamma)
     v = edge_velocity(g)
-    a, b = _homogeneous(g)
-    if abs(b) == a:
-        # maximal edge velocity: signature undefined, rapidity infinite
-        return BoundaryCharacter(v_edge=v, eta=None, theta=None, epsilon=1 if v > 0 else -1)
-    eta = 1 if abs(b) < a else -1
-    theta = _rapidity(a, b)
     epsilon = None if v == 0.0 else (1 if v > 0 else -1)
-    return BoundaryCharacter(v_edge=v, eta=eta, theta=theta, epsilon=epsilon)
-
-
-def _gamma_from_ratio(r: float) -> ProjectiveReal:
-    """Invert r = (1+gamma)/(1-gamma) = eta*e^theta; r = -1 is gamma = inf."""
-    if r == -1.0:
-        return GAMMA_INFINITY
-    return ProjectiveReal((r - 1.0) / (r + 1.0))
-
-
-def _gamma_from_eta_theta(eta: int, theta: float) -> ProjectiveReal:
-    # gamma = tanh(theta/2) for eta = 1 and its inverse for eta = -1: the
-    # Cayley inverse of eta*e^theta, without the rounding of e^theta near 1
-    t = math.tanh(0.5 * theta)
-    if eta == 1:
-        return ProjectiveReal(t)
-    return GAMMA_INFINITY if t == 0.0 else ProjectiveReal(1.0 / t)
+    if _is_unit(g):
+        # maximal edge velocity: signature undefined, rapidity infinite
+        return BoundaryCharacter(v, None, None, epsilon)
+    a, b = _homogeneous(g)
+    return BoundaryCharacter(v, 1 if abs(b) < a else -1, _rapidity(a, b), epsilon)
 
 
 def boost(gamma: GammaLike, chi: float) -> ProjectiveReal:
@@ -224,8 +213,11 @@ def boost(gamma: GammaLike, chi: float) -> ProjectiveReal:
     ch = boundary_character(gamma)
     if ch.eta is None:
         raise BoostUndefined("boosts are undefined at gamma = +-1")
+    # gamma = tanh(theta/2) for eta = 1 and its inverse for eta = -1: the
+    # Cayley inverse of eta*e^theta, without the rounding of e^theta near 1
+    t = math.tanh(0.5 * (ch.theta + chi))
     try:
-        out = _gamma_from_eta_theta(ch.eta, ch.theta + chi)
+        out = _projective(1.0, t) if ch.eta == 1 else _projective(t, 1.0)
     except OutOfDomain:  # 1/tanh overflowed, or chi is nan
         out = None
     if out is None or _is_unit(out):

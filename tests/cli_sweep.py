@@ -4,10 +4,11 @@ Every case runs as a fresh ``python -m edgecurrents.cli`` process in an empty
 temporary directory and prints one line: its exit code, then the sha256 of
 its stdout, its stderr, its ``--out`` file and that file's ``.json`` sidecar
 (``-`` where none was written), then its arguments.  To compare two trees,
-sweep each with its own ``src`` on ``PYTHONPATH`` and diff the outputs::
+sweep each with its own ``src`` on ``PYTHONPATH`` and diff the outputs; the
+path must be absolute, since every case runs in its own directory::
 
-    PYTHONPATH=parent/src python tests/cli_sweep.py > parent.txt
-    PYTHONPATH=change/src python tests/cli_sweep.py > change.txt
+    PYTHONPATH=$PWD/parent/src python tests/cli_sweep.py > parent.txt
+    PYTHONPATH=$PWD/change/src python tests/cli_sweep.py > change.txt
     diff parent.txt change.txt
 
 ``--cheap`` leaves out the large cases (2e4-row tables, ``--solve 5``).  The
@@ -88,9 +89,13 @@ CASES = [
     Case("constraints --solve 5 --fix 2,0.5,-3", 0),
     Case("constraints --solve 5 --fix 2,-0.5,3,0", 0),
     Case("constraints --solve 5", 0, large=True),
+    # pins next to +-1 and at the far ends of the projective line: free gammas that round to
+    # +-1 are skipped, so 1 - 2^-53 is INFEASIBLE
+    *[Case(f"constraints --solve 2 --fix {g}", 0)
+      for g in ("0.9999999999999999", "1.0000000000000002", "-1e200", "0")],
     # dual maps
     *[Case(f"dual --m {m} --gamma {g} --which {w}", 0)
-      for m, g in (("1", "0"), ("-1e-3", "-.5"), ("2", "inf"), ("1", "-1e200"))
+      for m, g in (("1", "0"), ("-1e-3", "-.5"), ("2", "inf"), ("1", "-1e200"), ("1", "-0.0"))
       for w in ("reflection", "cpt", "halfplane")],
     # oracle FAILs: the m < 0, gamma < 0 edge Fermi level, and the branch cut beyond its reach
     Case("oracle --m -1 --gamma -2 --x 1 --what edge", 1),
@@ -125,7 +130,8 @@ CASES = [
     Case("oracle --m -1 --x 1 --what branch-cut", 3),
     Case("constraints --gammas 2,1", 3),
     Case("constraints --solve 40", 3),
-    Case("dual --m 1 --gamma 1e-320 --which reflection", 3),
+    *[Case(f"dual --m 1 --gamma 1e-320 --which {w}", 3)
+      for w in ("reflection", "cpt", "halfplane")],
 ]
 
 

@@ -402,6 +402,12 @@ def test_oracle_usage_errors(capsys, extra):
     (["profile", "--m", "1", "--gamma", "2", "--lambda", "1"], "rapidity_cutoff value: '1'"),
     # a solve with more than 5 free gammas would enumerate for minutes or longer
     (["constraints", "--solve", "40"], "need 1 to 5 free gammas, got 40"),
+    # each bounded number type is named in its rejection
+    (["profile", "--m", "1", "--gamma", "2", "--points", "0"], "positive_int value: '0'"),
+    (["spectrum", "--m", "nan", "--gamma", "2"], "finite_float value: 'nan'"),
+    (["profile", "--m", "1", "--gamma", "2", "--x-min", "0"], "positive_float value: '0'"),
+    (["oracle", "--m", "1", "--x", "0.7", "--what", "edge", "--tol", "nan"],
+     "positive_float value: 'nan'"),
 ])
 def test_bad_input_is_one_line(capsys, argv, named):
     # an exception escaping main would be a traceback, and any warning fails here

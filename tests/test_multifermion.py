@@ -185,6 +185,12 @@ def test_solve_system_validation():
         solve_system(2, [1.0])
 
 
+def test_solve_system_skips_free_gammas_that_round_to_one():
+    # the pin 1 - 2^-53 leaves the free species r = (1 + gamma)/(1 - gamma) = -2^54, whose
+    # gamma = (r - 1)/(r + 1) rounds to 1: it is dropped, not passed on to FermionSystem
+    assert solve_system(2, [math.nextafter(1.0, 0.0)]) == []
+
+
 def test_solve_system_bounds_the_free_species():
     # each free species multiplies the enumeration (n = 6 took minutes): more than 5 free
     # gammas are rejected before anything is enumerated

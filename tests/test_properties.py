@@ -8,10 +8,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from edgecurrents import (GAMMA_INFINITY, EdgeCurrentsError, ModelParams, as_gamma,  # noqa: E402
-                          boost, boost_invariance_scan, boundary_character, conjugate_pair,
-                          cpt_dual, halfplane_dual, make_system, reflection_dual, residuals,
-                          singular_part, solve_system)
+from edgecurrents import (GAMMA_INFINITY, EdgeCurrentsError, ModelParams, OutOfDomain,  # noqa: E402
+                          as_gamma, boost, boost_invariance_scan, boundary_character,
+                          conjugate_pair, cpt_dual, halfplane_dual, make_system, reflection_dual,
+                          residuals, singular_part, solve_system)
+from edgecurrents.params import _homogeneous, _projective  # noqa: E402
 
 # the same examples on every run, and no example database written next to the tests
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -187,3 +188,48 @@ def test_singular_part_is_odd_under_reflection(m, g):
                   (s.c_inv_x2, d.c_inv_x2)):
         assert cd == pytest.approx(-c, rel=1e-9, abs=1e-12)
 
+
+
+# every float gamma and inf: both zeros, subnormals, the 1e150 switch of _homogeneous from
+# (1, gamma) to (1/|gamma|, sgn gamma), 2^1022 above which 1/|gamma| is subnormal, the largest
+_SWITCH, _NORMAL_INVERSE = 1e150, 2.0 ** 1022
+any_gamma = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda s, t: s * 10.0 ** t, signs, st.floats(149.0, 151.0)),
+    st.builds(lambda s, g: s * g, signs, st.sampled_from([
+        0.0, 5e-324, 1e-310, 2.0 ** -1022, math.nextafter(_SWITCH, 0.0), _SWITCH,
+        math.nextafter(_SWITCH, math.inf), _NORMAL_INVERSE, math.nextafter(_NORMAL_INVERSE, 0.0),
+        math.nextafter(math.inf, 0.0)])),
+    st.just(GAMMA_INFINITY))
+
+
+@fixed_examples
+@given(any_gamma)
+def test_inv_is_the_rounded_reciprocal(g):
+    p = as_gamma(g)
+    if p.is_infinite:
+        assert p.inv().value.hex() == "0x0.0p+0"
+    elif p.value == 0.0:
+        assert p.inv().is_infinite
+    elif math.isinf(1.0 / p.value):  # a subnormal gamma
+        with pytest.raises(OutOfDomain, match="1/gamma overflows"):
+            p.inv()
+    else:  # bit for bit, the sign included
+        assert p.inv().value.hex() == (1.0 / p.value).hex()
+
+
+@fixed_examples
+@given(any_gamma)
+def test_projective_inverts_homogeneous(g):
+    p = as_gamma(g)
+    a, b = _homogeneous(p)
+    if p.is_infinite or abs(p.value) <= _SWITCH:  # exact: b/1, and inf at a = 0
+        back = _projective(a, b)
+        assert back.is_infinite if p.is_infinite else back.value.hex() == p.value.hex()
+    elif abs(p.value) <= _NORMAL_INVERSE:  # 1/(1/|gamma|): two roundings
+        assert abs(_projective(a, b).value - p.value) <= math.ulp(p.value)
+    else:  # a = 1/|gamma| is subnormal: fewer bits, and b/a overflows at the 3 largest floats
+        try:
+            assert abs(_projective(a, b).value - p.value) <= 4.0 * math.ulp(p.value)
+        except OutOfDomain:
+            assert abs(p.value) >= math.nextafter(math.inf, 0.0) - 2.0 * math.ulp(p.value)
