@@ -139,42 +139,37 @@ def boost_invariance_scan(sys: FermionSystem, chi_values: Sequence[float]) -> li
 # exact constraint solver
 #
 # A species is the unit timelike vector eta (cosh theta, sinh|theta|), in light-cone form
-# (eta z, eta/z), z = e^|theta| >= 1; the residuals cancel iff the vectors sum to zero.
+# (w, 1/w) with w = eta e^|theta|, |w| >= 1: its (r_plus, r_minus) of _summands, so
+# w = (1 + |gamma|)/(1 - |gamma|).  The residuals cancel iff the vectors sum to zero.
 
-# |theta| of the lattice eta * linspace(-3, 3, 13); the sign of theta is the sign of gamma
-_THETA_LATTICE = tuple(0.5 * k for k in range(7))
-
-
-def _split_first(vp: float, vm: float) -> list[tuple[int, float]]:
-    """The (eta, z) of the vectors u with (vp, vm) - u a unit vector.
-
-    (V - u)^2 = 1 gives vm w^2 - q w + vp = 0 for w = eta z, q = V^2 = vp vm.
-    q = 4 within rounding is the double root of two equal vectors, and a root
-    z < 1 is raised to 1; the cancellation test rejects what is no solution.
-    """
-    q = vp * vm
-    d = 0.0 if abs(q - 4.0) < 4e-12 else q * (q - 4.0)
-    half = 0.5 * (q + math.copysign(math.sqrt(d), q)) if d >= 0.0 else 0.0
-    if half == 0.0:
-        return []  # no real root, or V light-like or zero: no finite root
-    return [(1 if w > 0 else -1, max(abs(w), 1.0)) for w in (half / vm, vp / half)]
+# w of the lattice eta * linspace(-3, 3, 13) of theta; the sign of theta is the sign of gamma
+_LATTICE = tuple(eta * math.exp(0.5 * k) for eta in (1.0, -1.0) for k in range(7))
 
 
-def _unit_sums(vp: float, vm: float, k: int, scale: float) -> list[list[tuple[int, float]]]:
-    """Candidate lists of k unit vectors (eta, z) that sum to (vp, vm).
+def _unit_sums(vp: float, vm: float, k: int, scale: float) -> list[list[float]]:
+    """Candidate lists of the w of k unit vectors (w, 1/w) that sum to (vp, vm).
 
-    scale: ResidualReport.scale of the species placed, each adding (z + 1/z)/2.
+    scale: ResidualReport.scale of the species placed, each adding |w + 1/w|/2.
+    The last two vectors u follow from (V - u)^2 = 1, which is
+    vm w^2 - q w + vp = 0 with q = V^2 = vp vm.  q = 4 within rounding is the
+    double root of two equal vectors, and a root |w| < 1 is raised to 1 with
+    its sign kept; the cancellation test rejects what is no solution.
     """
     if k == 1:
-        eta = 1 if vp + vm > 0 else -1
-        return [[(eta, max(eta * vp, 1.0))]]
-    # (vp, vm) cancelling by itself (its r_log, r_x2 pass cancels) leaves two species a family
-    if k == 2 and not _negligible(scale, (vp + vm) / 2.0, (vp - vm) / 4.0):
-        firsts = _split_first(vp, vm)
-    else:  # the lattice fixes the leading species
-        firsts = [(eta, math.exp(t)) for eta in (1, -1) for t in _THETA_LATTICE]
-    return [[(eta, z), *rest] for eta, z in firsts
-            for rest in _unit_sums(vp - eta * z, vm - eta / z, k - 1, scale + (z + 1.0 / z) / 2.0)]
+        eta = 1.0 if vp + vm > 0 else -1.0
+        return [[eta * max(eta * vp, 1.0)]]
+    # (vp, vm) cancelling by itself (its r_log, r_x2 pass cancels) leaves two species a family,
+    # and the lattice fixes every leading species
+    if k > 2 or _negligible(scale, (vp + vm) / 2.0, (vp - vm) / 4.0):
+        firsts = _LATTICE
+    else:
+        q = vp * vm
+        d = 0.0 if abs(q - 4.0) < 4e-12 else q * (q - 4.0)
+        half = 0.5 * (q + math.copysign(math.sqrt(d), q)) if d >= 0.0 else 0.0
+        # half = 0: no real root, or V light-like or zero: no finite root
+        firsts = [math.copysign(max(abs(w), 1.0), w) for w in (half / vm, vp / half)] if half else []
+    return [[w, *rest] for w in firsts
+            for rest in _unit_sums(vp - w, vm - 1.0 / w, k - 1, scale + abs(w + 1.0 / w) / 2.0)]
 
 
 def _dedupe(keys: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
@@ -202,16 +197,24 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     species, and with two free species whose pinned partners do not cancel;
     with three or more free species, or two whose pinned partners already
     cancel, it is the sample of the solutions on that lattice.  Each further
-    free species multiplies the cost by ~15 to ~100: (4, []) takes ~0.07 s,
-    (5, []) 1.2-1.5 s for 6712 systems and (6, []) 144-152 s for 38031 on a
-    2-core Intel Xeon, so at most 5 gammas may be free: more raise
-    OutOfDomain before anything is enumerated.  A candidate is kept when
-    it cancels (``ResidualReport.cancels``), with both signs of every free
-    gamma (the residuals are even in gamma) and without free gammas that
-    round to +-1.
+    free species multiplies the cost by ~15 to ~100: in process, (4, [])
+    takes 0.04-0.07 s and (5, []) 0.95-1.3 s for 6712 systems (the least of
+    7 and of 3 runs, four times over, on a shared 2-core Intel Xeon), and
+    (6, []) took 144-152 s for 38031, so at most 5 gammas may be free: more
+    raise OutOfDomain before anything is enumerated.  A candidate is kept
+    when it cancels (``ResidualReport.cancels``), with both signs of every
+    free gamma (the residuals are even in gamma) and without free gammas
+    that round to +-1.
     Systems list their gammas sorted, inf last, and come deduplicated at 1e-8
-    and sorted, so the order of ``fixed`` does not matter.  [] means
-    infeasible, as for every n = 3: one unit vector is never the sum of two.
+    and sorted.  The pinned sums are added in the order of ``fixed``, and
+    another order can round them differently, which moves a free gamma by
+    ~gamma^2/2 times that rounding.  With pins 0, inf or of magnitude 1e-3 to
+    1e3 and at least 1e-3 from +-1, and at most two free gammas, every order
+    gives the same systems to 1e-8; beyond that a large free gamma can move
+    by more, and with a third free species a candidate can cross the
+    cancellation test, so the number of systems can change.
+    [] means infeasible, as for every n = 3: one unit vector is never the
+    sum of two.
     n must be an integral number (2.0 and numpy integers count) of at least 2.
     """
     if not float(n).is_integer() or n < 2:
@@ -222,13 +225,15 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     rep = residuals(pinned)
     keys = []
     for units in _unit_sums(-rep.r_plus, -rep.r_minus, n_free, rep.scale):
-        # gamma = (r - 1)/(r + 1) of r = (1 + gamma)/(1 - gamma) = eta z; r = -1 is inf
-        free = [_projective(eta * z + 1.0, eta * z - 1.0) for eta, z in units]
+        # gamma = (w - 1)/(w + 1), inf at w = -1; from |w| = 2^53 on w + 1 rounds, and
+        # 1 - 2/(w + 1) keeps the partner 1 - 2^-52 of the pin 1 + 2^-52, where w = 2^53
+        free = [_projective(w + 1.0, w - 1.0) if abs(w) < 2.0 ** 53
+                else _projective(1.0, 1.0 - 2.0 / (w + 1.0)) for w in units]
         if any(map(_is_unit, free)):
             continue
         if not residuals(FermionSystem(pinned.gammas + tuple(free))).cancels():
             continue
-        for signs in product((1, -1), repeat=len(free)):
-            gammas = pinned.gammas + tuple(g if s == 1 else g.neg() for g, s in zip(free, signs))
+        for signed in product(*[(g, g.neg()) for g in free]):
+            gammas = pinned.gammas + signed
             keys.append(tuple(sorted(math.inf if g.is_infinite else g.value for g in gammas)))
     return [make_system("inf" if v == math.inf else v for v in key) for key in _dedupe(keys)]

@@ -92,7 +92,12 @@ CASES = [
     # pins next to +-1 and at the far ends of the projective line: free gammas that round to
     # +-1 are skipped, so 1 - 2^-53 is INFEASIBLE
     *[Case(f"constraints --solve 2 --fix {g}", 0)
-      for g in ("0.9999999999999999", "1.0000000000000002", "-1e200", "0")],
+      for g in ("0.9999999999999999", "1.0000000000000002", "-1e200", "0",
+                "-1.0000000000000002")],
+    # two orders of one set of pins, which round the free gammas differently
+    *[Case(f"constraints --solve 5 --fix {pins}", 0)
+      for pins in ("0.6929838963719743,-1.0908000077735336,-0.23598485179194018",
+                   "0.6929838963719743,-0.23598485179194018,-1.0908000077735336")],
     # dual maps
     *[Case(f"dual --m {m} --gamma {g} --which {w}", 0)
       for m, g in (("1", "0"), ("-1e-3", "-.5"), ("2", "inf"), ("1", "-1e200"), ("1", "-0.0"))

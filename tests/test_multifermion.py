@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import time
 from fractions import Fraction
 
@@ -189,6 +191,28 @@ def test_solve_system_skips_free_gammas_that_round_to_one():
     # the pin 1 - 2^-53 leaves the free species r = (1 + gamma)/(1 - gamma) = -2^54, whose
     # gamma = (r - 1)/(r + 1) rounds to 1: it is dropped, not passed on to FermionSystem
     assert solve_system(2, [math.nextafter(1.0, 0.0)]) == []
+
+
+def test_solve_system_finds_the_partners_of_pins_next_to_one():
+    # the pin +-(1 + 2^-52) leaves the free species w = 2^53, where w + 1 rounds to w: the
+    # partners +-(1 - 2^-52) of conjugate_pair and its CPT twin come from 1 - 2/(w + 1)
+    assert [[g.value for g in s.gammas] for s in solve_system(2, [1.0000000000000002])] == [
+        [-0.9999999999999998, 1.0000000000000002], [0.9999999999999998, 1.0000000000000002]]
+    assert [[g.value for g in s.gammas] for s in solve_system(2, [-1.0000000000000002])] == [
+        [-1.0000000000000002, -0.9999999999999998], [-1.0000000000000002, 0.9999999999999998]]
+
+
+@pytest.mark.parametrize("n, fixed, count, digest", [
+    (4, [], 343, "08d4dce01fb2884095cf4c26b931adb83c8ec30a35094ca99d519a93aeeb0dc8"),
+    (5, [2.0], 696, "81124a555166cd3ff954b5b008316847d5c43dee9eeb19fc462d61eba9b51fce"),
+])
+def test_solve_system_lattice_sample_bits(n, fixed, count, digest):
+    # three or more free species take the lattice: its sample, pinned to the bit (the sha256 of
+    # every gamma as a little-endian double, inf as inf, system after system)
+    sols = solve_system(n, fixed)
+    values = [math.inf if g.is_infinite else g.value for s in sols for g in s.gammas]
+    assert len(sols) == count
+    assert hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest() == digest
 
 
 def test_solve_system_bounds_the_free_species():

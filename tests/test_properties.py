@@ -1,5 +1,6 @@
 """Property-based checks over the projective line: solver, boosts, dualities."""
 
+import itertools
 import math
 
 import pytest
@@ -138,6 +139,22 @@ def test_boost_scan_verdicts(g, chi, sign):
 @given(st.lists(finite_gamma, min_size=1, max_size=2))
 def test_three_species_never_cancel(pinned):
     assert solve_system(3, pinned) == []
+
+
+@fixed_examples
+@given(st.lists(projective_gamma, min_size=2, max_size=3), st.integers(1, 2))
+def test_pin_order_changes_only_rounding(pinned, n_free):
+    # the pinned sums are added in pin order, so another order may round the free gammas
+    # differently, but by less than _dedupe's 1e-8 on the domain the solve_system docstring
+    # states: the same systems.  A large free gamma moves by ~gamma^2/2 times the rounding, and
+    # a third free species can cross the cancellation test, so pins near +-1 or beyond 1e-3 to
+    # 1e3, which give large free gammas, and three free species are not drawn here
+    n = len(pinned) + n_free
+    want = [[_value(g) for g in s.gammas] for s in solve_system(n, pinned)]
+    for order in itertools.permutations(pinned):
+        got = [[_value(g) for g in s.gammas] for s in solve_system(n, list(order))]
+        assert len(got) == len(want)
+        assert all(a == b or abs(a - b) < 1e-8 for s, t in zip(got, want) for a, b in zip(s, t))
 
 
 @fixed_examples
