@@ -170,9 +170,12 @@ def cmd_constraints(args: argparse.Namespace) -> int:
     from .multifermion import FermionSystem, residuals, solve_system  # only this subcommand
     if args.solve is not None:
         systems = solve_system(args.solve, args.fix)
+        # the pins as each solution lists them, sorted with inf last and -0.0 as 0.0, so that the
+        # order of --fix shows in no byte
+        fixed = sorted(math.inf if g.is_infinite else g.value + 0.0 for g in args.fix)
         report = {
             "n": args.solve,
-            "fixed": [_json_gamma(g) for g in args.fix],
+            "fixed": ["inf" if v == math.inf else v for v in fixed],
             "solutions": [[_json_gamma(g) for g in s.gammas] for s in systems],
             "verdict": "SOLVED" if systems else "INFEASIBLE",
         }

@@ -11,7 +11,7 @@ boosts transparent.
 from __future__ import annotations
 
 import math
-from itertools import product, takewhile
+from itertools import accumulate, product, takewhile
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CptInvariantBoundary, OutOfDomain
@@ -89,13 +89,13 @@ class ResidualReport(NamedTuple):
 
 
 def residuals(sys: FermionSystem) -> ResidualReport:
-    """Evaluate the five residual sums of the system and their scale."""
-    sums, size = [0.0] * 5, 0.0
-    for g in sys.gammas:
-        terms = _summands(g)
-        sums = [s + t for s, t in zip(sums, terms)]
-        size += abs(terms[0])
-    return ResidualReport(*sums, scale=max(1.0, size))
+    """Evaluate the five residual sums of the system and their scale.
+
+    Each sum is exactly rounded (math.fsum), so it does not depend on the order of the species.
+    """
+    terms = [_summands(g) for g in sys.gammas]
+    sums = [math.fsum(t[i] for t in terms) for i in range(5)]
+    return ResidualReport(*sums, scale=max(1.0, math.fsum(abs(t[0]) for t in terms)))
 
 
 def conjugate_pair(gamma: GammaLike) -> FermionSystem:
@@ -172,14 +172,13 @@ def _unit_sums(vp: float, vm: float, k: int, scale: float) -> list[list[float]]:
             for rest in _unit_sums(vp - w, vm - 1.0 / w, k - 1, scale + abs(w + 1.0 / w) / 2.0)]
 
 
-def _dedupe(keys: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    """Sorted keys, each dropped if within 1e-8 of a kept one (kept is sorted: scan its tail).
+def _dedupe(keys: Iterable[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """Distinct keys sorted, each dropped if within 1e-8 of a kept one.
 
-    A set drops the exact duplicates first, keeping the first of equal keys (0.0 and -0.0 are
-    equal) as the stable sort and scan would.
+    kept is sorted, so only its tail can be that near: scan it back to 1e-8 in the first entry.
     """
     kept: list[tuple[float, ...]] = []
-    for key in sorted(set(keys)):
+    for key in sorted(keys):
         near = takewhile(lambda k: not key[0] - k[0] >= 1e-8, reversed(kept))
         if not any(all(a == b or abs(a - b) < 1e-8 for a, b in zip(key, k)) for k in near):
             kept.append(key)
@@ -197,22 +196,23 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
     species, and with two free species whose pinned partners do not cancel;
     with three or more free species, or two whose pinned partners already
     cancel, it is the sample of the solutions on that lattice.  Each further
-    free species multiplies the cost by ~15 to ~100: in process, (4, [])
-    takes 0.04-0.07 s and (5, []) 0.95-1.3 s for 6712 systems (the least of
-    7 and of 3 runs, four times over, on a shared 2-core Intel Xeon), and
-    (6, []) took 144-152 s for 38031, so at most 5 gammas may be free: more
-    raise OutOfDomain before anything is enumerated.  A candidate is kept
-    when it cancels (``ResidualReport.cancels``), with both signs of every
-    free gamma (the residuals are even in gamma) and without free gammas
-    that round to +-1.
-    Systems list their gammas sorted, inf last, and come deduplicated at 1e-8
-    and sorted.  The pinned sums are added in the order of ``fixed``, and
-    another order can round them differently, which moves a free gamma by
-    ~gamma^2/2 times that rounding.  With pins 0, inf or of magnitude 1e-3 to
-    1e3 and at least 1e-3 from +-1, and at most two free gammas, every order
-    gives the same systems to 1e-8; beyond that a large free gamma can move
-    by more, and with a third free species a candidate can cross the
-    cancellation test, so the number of systems can change.
+    free species multiplies the cost by ~10 or more: in process, (4, [])
+    takes 0.012-0.013 s for 319 systems and (5, []) 0.13-0.15 s for 6712 (the
+    least of 7 and of 3 runs, four times over, on a shared 2-core Intel
+    Xeon), and (6, []) took 144-152 s for 38031 with an earlier form of this
+    solver, so at most 5 gammas may be free: more raise OutOfDomain before
+    anything is enumerated.  A candidate is kept when it cancels
+    (``ResidualReport.cancels``) and no free gamma rounds to +-1.
+    One identity rule lists the systems.  A candidate is the w of its free
+    species: a w within 1e-12 of +-1 is +-1, gamma = 0 or inf (so inf is
+    written as inf, not as |gamma| ~ 1e15), and w that agree to 1e-12 of |w|
+    are one species.  Candidates whose sorted 1/w agree to 1e-8 (0.5e-8 to
+    1e-8 on the projective line) are one system, the first in that order;
+    only then is each listed with both signs of every free gamma (the
+    residuals are even in gamma), so a system's sign copies are its exact
+    negations.  The residual sums are exactly rounded, so no order of
+    ``fixed`` changes a bit of the result.  Systems list their gammas sorted,
+    inf last, -0.0 as 0.0, and come sorted.
     [] means infeasible, as for every n = 3: one unit vector is never the
     sum of two.
     n must be an integral number (2.0 and numpy integers count) of at least 2.
@@ -223,17 +223,23 @@ def solve_system(n: int, fixed: Sequence[GammaLike] = ()) -> list[FermionSystem]
         raise OutOfDomain(f"need 1 to 5 free gammas, got {n_free} (n={n}, {len(fixed)} fixed)")
     pinned = FermionSystem(tuple(fixed))
     rep = residuals(pinned)
-    keys = []
+    free_of: dict[tuple[float, ...], tuple[ProjectiveReal, ...]] = {}
     for units in _unit_sums(-rep.r_plus, -rep.r_minus, n_free, rep.scale):
+        # to 1e-12, the rounding of _unit_sums, a w next to +-1 is +-1 (gamma = 0 or inf), and w
+        # that agree are one species
+        units = sorted(w if abs(w) - 1.0 >= 1e-12 else math.copysign(1.0, w) for w in units)
+        units = list(accumulate(units, lambda v, w: v if w - v < 1e-12 * abs(w) else w))
         # gamma = (w - 1)/(w + 1), inf at w = -1; from |w| = 2^53 on w + 1 rounds, and
         # 1 - 2/(w + 1) keeps the partner 1 - 2^-52 of the pin 1 + 2^-52, where w = 2^53
-        free = [_projective(w + 1.0, w - 1.0) if abs(w) < 2.0 ** 53
-                else _projective(1.0, 1.0 - 2.0 / (w + 1.0)) for w in units]
-        if any(map(_is_unit, free)):
-            continue
-        if not residuals(FermionSystem(pinned.gammas + tuple(free))).cancels():
-            continue
-        for signed in product(*[(g, g.neg()) for g in free]):
-            gammas = pinned.gammas + signed
-            keys.append(tuple(sorted(math.inf if g.is_infinite else g.value for g in gammas)))
-    return [make_system("inf" if v == math.inf else v for v in key) for key in _dedupe(keys)]
+        free = tuple(_projective(w + 1.0, w - 1.0) if abs(w) < 2.0 ** 53
+                     else _projective(1.0, 1.0 - 2.0 / (w + 1.0)) for w in units)
+        if not any(map(_is_unit, free)) and residuals(make_system(pinned.gammas + free)).cancels():
+            # the key is r_minus = 1/w of each species: |1/w| <= 1, where 1e-8 apart is 0.5e-8
+            # to 1e-8 apart on the projective line
+            free_of.setdefault(tuple(sorted(1.0 / w for w in units)), free)
+    # r_+- depend on |gamma| alone: a kept key stands for its 2^k sign copies, exact negations;
+    # + 0.0 writes -0.0 as 0.0, the same point of the projective line, so no pin order shows
+    copies = (pinned.gammas + signed for key in _dedupe(free_of)
+              for signed in product(*[(g, g.neg()) for g in free_of[key]]))
+    found = {tuple(sorted(math.inf if g.is_infinite else g.value + 0.0 for g in c)) for c in copies}
+    return [make_system("inf" if v == math.inf else v for v in s) for s in sorted(found)]

@@ -173,7 +173,8 @@ def oracle_branch_cut_integral(m: float, x: float) -> BranchCutResult:
         raise OutOfDomain(f"branch-cut integral needs 0 <= m < inf, got m={m}")
     _check_x(x)
     abel, err = _abel_limit(m, x, 0.0, -2.0)
-    contour = math.pi * math.exp(-2.0 * m * x) * (m / (2.0 * x) + 1.0 / (4.0 * x * x))
+    # 0.25 / x / x keeps the subnormal 1/(4x^2) where 4 x x would overflow, from x ~ 6.7e153
+    contour = math.pi * math.exp(-2.0 * m * x) * (m / (2.0 * x) + 0.25 / x / x)
     return BranchCutResult(abel_value=abel, contour_value=contour,
                            rel_diff=_rel_dev(contour, abel), error_estimate=err)
 

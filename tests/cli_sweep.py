@@ -94,10 +94,12 @@ CASES = [
     *[Case(f"constraints --solve 2 --fix {g}", 0)
       for g in ("0.9999999999999999", "1.0000000000000002", "-1e200", "0",
                 "-1.0000000000000002")],
-    # two orders of one set of pins, which round the free gammas differently
+    # two orders of one set of pins, which write the same bytes: the residual sums are exactly
+    # rounded; the second pair has free gammas next to inf, written as inf
     *[Case(f"constraints --solve 5 --fix {pins}", 0)
       for pins in ("0.6929838963719743,-1.0908000077735336,-0.23598485179194018",
                    "0.6929838963719743,-0.23598485179194018,-1.0908000077735336")],
+    *[Case(f"constraints --solve 6 --fix {pins}", 0) for pins in ("inf,0,10", "inf,10,0")],
     # dual maps
     *[Case(f"dual --m {m} --gamma {g} --which {w}", 0)
       for m, g in (("1", "0"), ("-1e-3", "-.5"), ("2", "inf"), ("1", "-1e200"), ("1", "-0.0"))

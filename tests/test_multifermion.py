@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import struct
 import time
@@ -12,6 +13,7 @@ from edgecurrents import (CptInvariantBoundary, FermionSystem, OutOfDomain,
                           residuals, solve_system)
 from conftest import random_gamma
 from derivation import rapidity_forms_agree
+from edgecurrents.params import _homogeneous
 
 
 def test_single_species_limits():
@@ -203,8 +205,8 @@ def test_solve_system_finds_the_partners_of_pins_next_to_one():
 
 
 @pytest.mark.parametrize("n, fixed, count, digest", [
-    (4, [], 343, "08d4dce01fb2884095cf4c26b931adb83c8ec30a35094ca99d519a93aeeb0dc8"),
-    (5, [2.0], 696, "81124a555166cd3ff954b5b008316847d5c43dee9eeb19fc462d61eba9b51fce"),
+    (4, [], 319, "36f75dc20e5e526cbfca171101ff94e3fe849b6fe8e93ac4cad45148336a998f"),
+    (5, [2.0], 696, "2a244c78c4b66ea7d88db4ae43664691ed83832078772c42aba4879ded87ea9d"),
 ])
 def test_solve_system_lattice_sample_bits(n, fixed, count, digest):
     # three or more free species take the lattice: its sample, pinned to the bit (the sha256 of
@@ -213,6 +215,29 @@ def test_solve_system_lattice_sample_bits(n, fixed, count, digest):
     values = [math.inf if g.is_infinite else g.value for s in sols for g in s.gammas]
     assert len(sols) == count
     assert hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest() == digest
+
+
+def _chordal(g, h) -> float:
+    """The distance of g and h on the projective line: the sine of the angle of their (a, b)."""
+    (a, b), (c, d) = _homogeneous(g), _homogeneous(h)
+    return abs(a * d - b * c) / math.hypot(a, b) / math.hypot(c, d)
+
+
+def _near(s, t) -> bool:
+    """True iff some order of the gammas of t lies within 1e-8 of the gammas of s, one by one."""
+    if not all(any(_chordal(g, h) < 1e-8 for h in t.gammas) for g in s.gammas):
+        return False
+    return any(all(_chordal(g, h) < 1e-8 for g, h in zip(s.gammas, order))
+               for order in itertools.permutations(t.gammas))
+
+
+@pytest.mark.parametrize("n, fixed", [(4, []), (6, ["inf", 0.0, 10.0])])
+def test_solve_system_writes_infinity_as_infinity(n, fixed):
+    # a root within rounding of w = -1 is gamma = inf, not |gamma| ~ 2^53, and no two systems are
+    # one point of the projective line (a system and its sign copy are two systems here)
+    sols = solve_system(n, fixed)
+    assert all(g.is_infinite or abs(g.value) <= 1e12 for s in sols for g in s.gammas)
+    assert not any(_near(s, t) for s, t in itertools.combinations(sols, 2))
 
 
 def test_solve_system_bounds_the_free_species():

@@ -198,6 +198,13 @@ def test_branch_cut_compares_underflowed_values_as_zero(m, x):
     assert oracle_branch_cut_integral(m, x).rel_diff == 0.0
 
 
+def test_branch_cut_contour_form_keeps_its_subnormal_value():
+    # 4 x^2 overflows at x = 1e154, but pi/(4x^2) = 7.85e-309 is a float: it is not read as 0
+    res = oracle_branch_cut_integral(0.0, 1e154)
+    assert res.contour_value == pytest.approx(math.pi / 4.0 * 1e-308, rel=1e-12, abs=0.0)
+    assert res.contour_value == pytest.approx(res.abel_value, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("g", [1e200, -1e200])
 def test_edge_oracle_at_huge_gamma_is_finite(g):
     # v_edge and |dk/du| are written in (a, b) = (1/|gamma|, sgn gamma): the current tends

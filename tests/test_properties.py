@@ -6,7 +6,7 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from edgecurrents import (GAMMA_INFINITY, EdgeCurrentsError, ModelParams, OutOfDomain,  # noqa: E402
@@ -31,6 +31,11 @@ projective_gamma = st.one_of(finite_gamma, st.just(GAMMA_INFINITY), st.sampled_f
 # gammas within 1e-3 of +-1, down to the neighbouring floats of +-1
 near_unit = st.builds(lambda s, d: s * (1.0 + d), st.sampled_from([1.0, -1.0]),
                       st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([2.0 ** -52, -2.0 ** -53])))
+# the whole projective line: the domain of finite_gamma, 0, inf, next to +-1 and down to the
+# subnormals next to 0 and up to 1e300 next to inf
+any_gamma = st.one_of(
+    projective_gamma, near_unit.filter(lambda g: abs(g) != 1.0), st.sampled_from([5e-324, -5e-324]),
+    st.builds(lambda s, t: s * 10.0 ** t, signs, st.floats(-300.0, -3.0) | st.floats(3.0, 300.0)))
 # every gamma of the solver's lattice eta * linspace(-3, 3, 13)
 lattice_gamma = st.builds(lambda eta, t: math.tanh(t / 2) ** eta, st.sampled_from([1, -1]),
                           st.sampled_from([0.5 * k for k in range(-6, 7) if k]))
@@ -155,6 +160,39 @@ def test_pin_order_changes_only_rounding(pinned, n_free):
         got = [[_value(g) for g in s.gammas] for s in solve_system(n, list(order))]
         assert len(got) == len(want)
         assert all(a == b or abs(a - b) < 1e-8 for s, t in zip(got, want) for a, b in zip(s, t))
+
+
+def _bits(solutions) -> list[list[str]]:
+    return [[float.hex(_value(g)) for g in s.gammas] for s in solutions]
+
+
+@fixed_examples
+@example([GAMMA_INFINITY, 0.0, 10.0], 3)
+@example([-149.93183857943131, 0.00403280053706707, -0.0029016292303879814], 3)
+@example([-0.010002658209184188, -1.0129030059727624, -0.9760500881027894], 2)
+@given(st.lists(any_gamma, min_size=2, max_size=3), st.integers(1, 3))
+def test_pin_order_does_not_change_a_bit(pinned, n_free):
+    # the residual sums are exactly rounded, so every order of the pins solves the same problem
+    n = len(pinned) + n_free
+    want = _bits(solve_system(n, pinned))
+    for order in itertools.permutations(pinned):
+        assert _bits(solve_system(n, list(order))) == want
+
+
+@fixed_examples
+@given(st.lists(any_gamma, max_size=3), st.integers(1, 3))
+def test_sign_copies_are_exact_negations(pinned, n_free):
+    # the residuals are even in gamma: with the pins removed once, the negated rest is listed,
+    # bit for bit (the two zeros are one point and compare equal)
+    assume(len(pinned) + n_free >= 2)
+    pins = [as_gamma(p) for p in pinned]
+    sols = solve_system(len(pinned) + n_free, pinned)
+    listed = {tuple(_value(g) for g in s.gammas) for s in sols}
+    for s in sols:
+        rest = list(s.gammas)
+        for p in pins:
+            rest.remove(p)
+        assert tuple(sorted(_value(g) for g in pins + [g.neg() for g in rest])) in listed
 
 
 @fixed_examples
