@@ -179,8 +179,8 @@ def _dedupe(keys: Iterable[tuple[float, ...]]) -> list[tuple[float, ...]]:
     """
     kept: list[tuple[float, ...]] = []
     for key in sorted(keys):
-        near = takewhile(lambda k: not key[0] - k[0] >= 1e-8, reversed(kept))
-        if not any(all(a == b or abs(a - b) < 1e-8 for a, b in zip(key, k)) for k in near):
+        near = takewhile(lambda k: key[0] - k[0] < 1e-8, reversed(kept))
+        if not any(all(abs(a - b) < 1e-8 for a, b in zip(key, k)) for k in near):
             kept.append(key)
     return kept
 

@@ -4,8 +4,9 @@ Every oracle runs the same fixed rule, ``quad``: 24-node Gauss-Legendre on
 panel edges chosen by the oracle, numpy only.
 
 - Edge: the occupied edge modes integrated in their decay rate u = lam(k),
-  where the mode current is u e^{-2ux} with no oscillation, on uniform
-  panels of width <= 1/(2x) from the lowest occupied u to 40/x above it.
+  where the mode current is u e^{-2ux} with no oscillation, on the graded
+  panels of _graded_edges from the lowest occupied u, the first 1/(2x) wide,
+  the last cut at 40/x above it.
 - Bulk and branch-cut: the Abel limit of int_0^inf Re[F(l)] dl, where
   F(l) = (analytic in Re l > 0) * e^{-2ilx}, taken by Cauchy's theorem along
   the ray l = t e^{-i phi}, on which e^{-2ilx} decays like e^{-2xt sin phi}
@@ -18,7 +19,9 @@ panel edges chosen by the oracle, numpy only.
   and for the bulk at |gamma| < 1, its relative error grows like e^{2mx}.
   The branch-cut check at m = 1 deviates by 1.1e-11 at x = 8, 8.4e-10 at
   x = 10 and 3.2e-8 at x = 12; at x = 20 and 50 the rays disagree and it
-  raises NonConvergent.  The rays need m >= 0; the bulk
+  raises NonConvergent.  Where m x <= 2^-52 the branch point moves the value
+  by less than its rounding, and the rays run on the panels of m = 0, down to
+  subnormal m.  The rays need m >= 0; the bulk
   takes m < 0 at the exact reflection dual of params._nonnegative_mass,
   the same one as the closed forms.
 """
@@ -32,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergent, OutOfDomain
-from .params import (ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant,
-                     edge_velocity)
+from .params import ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant
 
 # np.polynomial.legendre.leggauss(24), written out: the rule is exactly symmetric, so the
 # 12 positive nodes and their weights, mirrored, are its arrays bit for bit
@@ -100,11 +102,13 @@ def _abel_limit(m: float, x: float, a: float, b: float) -> tuple[float, float]:
     Re[e^{-i phi} int_0^inf F(t e^{-i phi}) dt] on geometric panels, from a
     first width that resolves the branch point -im (at distance m cos phi
     from the ray) out to where e^{-2xt sin phi} = e^{-45}; arctan(l/m) is
-    continued as pi/2 - arctan(m/l), the constant pi/2 at m = 0.  Returns the
+    continued as pi/2 - arctan(m/l).  Where m x <= 2^-52 the branch point
+    moves the value by less than its rounding, so the first width is that of
+    m = 0, set by x alone.  Returns the
     value at the first ray angle and its difference to the second; raises
     NonConvergent when that difference exceeds _RAY_TOL relative.
     """
-    scale = min(m, 1.0 / x) if m > 0 else 1.0 / x
+    scale = min(m, 1.0 / x) if m * x > 2.0 ** -52 else 1.0 / x
     vals = []
     for phi in _RAY_ANGLES:
         rot = complex(math.cos(phi), -math.sin(phi))
@@ -128,8 +132,9 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
     E = (2 g lam - m (1+g^2))/(g^2-1), so E < -m reads g lam < m where
     g (g^2-1) > 0 and g lam > m where g (g^2-1) < 0.  Each mode carries
     (dk/pi) v_edge u e^{-2ux}, with the edge velocity v_edge = 2g/(1+g^2) and
-    |dk/du| = (1+g^2)/|g^2-1|, all written in the homogeneous coordinates
-    (a, b) of params._homogeneous.  At gamma = inf no decay rate is occupied.
+    |dk/du| = (1+g^2)/|g^2-1|, so the prefactor of int u e^{-2ux} du is
+    2g/|g^2-1|/pi, written in the homogeneous coordinates (a, b) of
+    params._homogeneous.  At gamma = inf no decay rate is occupied.
     """
     _reject_cpt_invariant(p)
     _check_x(x)
@@ -138,13 +143,11 @@ def oracle_edge_current(p: ModelParams, x: float) -> float:
         return 0.0  # v_edge = 0: the edge spinor carries no j^2
     u_fermi = p.m * a / b  # the decay rate at E = -m
     lo, hi = (0.0, u_fermi) if (abs(b) > a) == (b > 0.0) else (max(0.0, u_fermi), math.inf)
+    hi = min(hi, lo + 40.0 / x)  # lo + 40/x rounds to lo where e^{-2 lo x} underflows
     if not lo < hi:
         return 0.0
-    hi = min(hi, lo + 40.0 / x)
-    dk_du = (a * a + b * b) / abs((b - a) * (b + a))
-    edges = np.linspace(lo, hi, math.ceil(2.0 * x * (hi - lo)) + 1)
-    total = float(quad(lambda u: u * np.exp(-2.0 * u * x), edges))
-    return edge_velocity(p.gamma) * dk_du / math.pi * total
+    total = float(quad(lambda u: u * np.exp(-2.0 * u * x), _graded_edges(lo, hi, 0.5 / x)))
+    return 2.0 * a * b / (math.pi * abs((b - a) * (b + a))) * total
 
 
 class BranchCutResult(NamedTuple):

@@ -108,6 +108,10 @@ CASES = [
     Case("oracle --m -1 --gamma -2 --x 1 --what edge", 1),
     Case("oracle --m 1 --x 20 --what branch-cut", 1),
     Case("oracle --m 1 --x 1e154 --what branch-cut", 0),
+    # subnormal masses, where m x is below rounding: the rays of m = 0
+    Case("oracle --m 1e-310 --x 1 --what bulk", 0),
+    Case("oracle --m 5e-324 --x 1 --what branch-cut", 0),
+    Case("oracle --m=-1e-310 --gamma 0.5 --x 5 --what bulk", 0),
     # usage errors (exit 2)
     Case("constraints", 2),
     Case("constraints --gammas 2 --solve 2", 2),

@@ -507,12 +507,15 @@ def test_oracle_domain_errors_exit_3(capsys, argv):
     ["oracle", "--m", "1", "--x", "1e154", "--what", "branch-cut"],
     ["oracle", "--m", "0", "--x", "1e300", "--what", "branch-cut"],
     ["oracle", "--m", "1", "--x", "1e300", "--what", "branch-cut"],
+    ["oracle", "--m", "1e-310", "--x", "1", "--what", "bulk"],
+    ["oracle", "--m", "5e-324", "--x", "1", "--what", "branch-cut"],
+    ["oracle", "--m=-1e-310", "--gamma", "0.5", "--x", "5", "--what", "bulk"],
 ])
 def test_oracle_bulk_and_branch_cut_on_the_whole_domain(capsys, argv):
     # gamma = 0 and inf (0 against 0), m < 0 at the exact reflection dual, and m = 0; at
     # x = 1e300, where x^2 overflows, 0 against 0 without numpy's RuntimeWarning; from
     # x = 1e154 the branch cut's contour form underflows to 0, and its Abel limit to 0 or
-    # below the normal range
+    # below the normal range; at subnormal m, on the rays of m = 0
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     assert out.splitlines()[1].endswith(",PASS")

@@ -1,7 +1,8 @@
 """Property-based checks of every oracle against its closed form over the documented domain.
 
 The closed forms are evaluated at 50 digits with mpmath, so each bound below
-is the oracle's own accuracy: m in {0} u [0.01, 2] (and its negative for the bulk),
+is the oracle's own accuracy: m in [0, 1e-300] u [0.01, 2], subnormal m included
+(and its negative for the bulk),
 x in [0.05, 5], gamma across the projective line, |gamma| from 1e-300 to 1e300 and
 down to 1e-3 from +-1.
 The draws stop at m <= 2 and x <= 5 (m x <= 10) because the ray rule of the
@@ -28,7 +29,9 @@ from edgecurrents import (GAMMA_INFINITY, ModelParams, as_gamma,  # noqa: E402
 
 fixed_examples = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
-mass = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+# [0, 1e-300] includes the subnormal masses, where m x is far below rounding
+tiny_mass = st.floats(0.0, 1e-300)
+mass = st.one_of(st.just(0.0), tiny_mass, st.floats(0.01, 2.0))
 distance = st.floats(0.05, 5.0)
 # magnitude in [1e-300, 1e300], where gamma^2 under- and overflows, plus gammas between
 # 1e-3 and 1e-2 from +-1
@@ -79,6 +82,8 @@ def test_edge_oracle_matches_closed_form(m, g, x):
 @example(-1.0, 1.0, 2.0, 1.0)
 @example(-1.0, 1.0, 0.0, 0.7)
 @example(1.0, 1.0, GAMMA_INFINITY, 0.7)
+@example(1.0, 5e-324, 2.0, 1.0)
+@example(-1.0, 1e-310, 0.5, 5.0)
 def test_bulk_oracle_matches_closed_form(sign, m, g, x):
     # 0 at gamma = 0 and inf; at m < 0 minus the reference at the reflection dual -1/g, exactly
     p = ModelParams(sign * m, as_gamma(g))
@@ -92,7 +97,9 @@ def test_bulk_oracle_matches_closed_form(sign, m, g, x):
 
 
 @fixed_examples
-@given(st.floats(0.01, 2.0), distance)
+@given(st.one_of(tiny_mass, st.floats(0.01, 2.0)), distance)
+@example(5e-324, 1.0)
+@example(1e-310, 0.05)
 def test_branch_cut_oracle_matches_closed_form(m, x):
     res = oracle_branch_cut_integral(m, x)
     with mp.workdps(50):
