@@ -8,13 +8,16 @@ ln Lambda, delta'(x), 1/x^2) plus a smooth regular remainder.  The steps of
 the bulk derivation, such as the partial-fraction expansion of the mode sum
 in v = exp(arcsinh(k/a)), are checked in tests/derivation.py.
 
-The closed forms are derived for m >= 0 with Fermi energy E_F = -m; at m < 0
-they take the reflection duality (m, gamma) -> (-m, -1/gamma), exactly in the
-homogeneous coordinates of gamma, under which j^2 flips sign.  So at either
-sign of m they fill the edge states below -|m|, while oracle.oracle_edge_current
-fills them below E_F = -m; the two differ at m < 0, gamma < 0, where the edge
-branch crosses the gap (ROADMAP item 3).  The singular coefficients depend on
-gamma alone.
+The library has one Fermi level, E_F = -|m|, the bottom of the gap, decided
+in one function, params._nonnegative_mass.  The closed forms are derived
+for m >= 0 with E_F = -m; at m < 0 they, and the oracles, take the
+reflection duality (m, gamma) -> (-m, -1/gamma), exactly in the homogeneous
+coordinates of gamma, under which j^2 flips sign.  So at either sign of m
+the edge states below -|m| are filled, also at m < 0, gamma < 0, where the
+edge branch crosses the gap and -m would be another level in it.  -|m| is
+the convention of m > 0, and the level that the Qi-Wu-Zhang lattice half
+plane follows, to within 0.3-5% over x = 4..32 (ROADMAP items 3 and 14).
+The singular coefficients depend on gamma alone.
 
 The regulator is a cutoff in rapidity along the boundary: the closed forms
 and oracle.oracle_bulk_current sum the bulk modes of transverse momentum l
@@ -87,7 +90,7 @@ def _closed_form(p: ModelParams, x: float | np.ndarray) -> tuple:
     in the formula, not in floats: c u [phi(s) - 2 phi(t) Theta(g)] and
     c u [2 psi(t) Theta(g) - psi(s)], exactly 0 at m = 0.  At m < 0 the
     profile is minus the one at the exact reflection dual (-m, -1/gamma) of
-    params._nonnegative_mass, as in oracle.oracle_bulk_current; every term
+    params._nonnegative_mass, as in every oracle; every term
     is homogeneous of degree 0 in (a, b).  Rejects any x outside (0, inf),
     nan included, and gamma = +-1.
     """

@@ -1,29 +1,35 @@
 """Independent quadrature verification of the closed-form current profiles.
 
 Every oracle runs the same fixed rule, ``quad``: 24-node Gauss-Legendre on
-panel edges chosen by the oracle, numpy only.
+panel edges chosen by the oracle, numpy only.  Each has the normal form of
+the closed forms, sign * 1/(4x^2) * an integral in m x and gamma alone at
+m >= 0: the current oracles take m < 0 at the exact reflection dual of
+params._nonnegative_mass with sign = -1, as the closed forms do.  So a check
+compares only the integral, and every side fills the edge states below
+E_F = -|m|.
 
-- Edge: the occupied edge modes integrated in their decay rate u = lam(k),
-  where the mode current is u e^{-2ux} with no oscillation, on the graded
-  panels of _graded_edges from the lowest occupied u, the first 1/(2x) wide,
-  the last cut at 40/x above it.
+- Edge: the occupied edge modes integrated in v = 2 x lam, lam their decay
+  rate, where the mode current is v e^{-v} with no oscillation, on the
+  graded panels of _graded_edges from the lowest occupied v, the first 1
+  wide, the last cut at 80 above it.
 - Bulk and branch-cut: the Abel limit of int_0^inf Re[F(l)] dl, where
-  F(l) = (analytic in Re l > 0) * e^{-2ilx}, taken by Cauchy's theorem along
-  the ray l = t e^{-i phi}, on which e^{-2ilx} decays like e^{-2xt sin phi}
-  and which never meets the branch points +-im of arctan(l/m).  The closed
+  F(l) = (analytic in Re l > 0) * e^{-2ilx}, written in s = 2lx as
+  1/(4x^2) int_0^inf Re[G(s) e^{-is}] ds, G analytic in Re s > 0 and a
+  function of m x, and taken by Cauchy's theorem along the ray
+  s = t e^{-i phi}, on which e^{-is} decays like e^{-t sin phi} and which
+  never meets the branch points +-2imx of arctan(s/(2mx)).  The closed
   forms use the cut discontinuity at phi = pi/2 instead, so the check stays
   independent.  The difference between the rays at phi = 0.4 pi and 0.3 pi
   is the oracle's own error estimate.  The limit is a cancellation: its
   absolute error stays at the roundoff of an integrand far larger than the
   value, so where the value is O(e^{-2mx}), as for the branch-cut integral
   and for the bulk at |gamma| < 1, its relative error grows like e^{2mx}.
-  The branch-cut check at m = 1 deviates by 1.1e-11 at x = 8, 8.4e-10 at
-  x = 10 and 3.2e-8 at x = 12; at x = 20 and 50 the rays disagree and it
+  The branch-cut check at m = 1 deviates by 1.1e-11 at x = 8, 9.7e-10 at
+  x = 10 and 4.2e-8 at x = 12; at x = 20 and 50 the rays disagree and it
   raises NonConvergent.  Where m x <= 2^-52 the branch point moves the value
   by less than its rounding, and the rays run on the panels of m = 0, down to
-  subnormal m.  The rays need m >= 0; the bulk
-  takes m < 0 at the exact reflection dual of params._nonnegative_mass,
-  the same one as the closed forms.
+  subnormal m.  No panel depends on x alone, so the oracles run up to the
+  largest float x, where 1/(4x^2) underflows to 0.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergent, OutOfDomain
-from .params import ModelParams, _homogeneous, _nonnegative_mass, _reject_cpt_invariant
+from .params import ModelParams, _nonnegative_mass, _reject_cpt_invariant
 
 # np.polynomial.legendre.leggauss(24), written out: the rule is exactly symmetric, so the
 # 12 positive nodes and their weights, mirrored, are its arrays bit for bit
@@ -99,26 +105,28 @@ def _rel_dev(reference: float, value: float) -> float:
 def _abel_limit(m: float, x: float, a: float, b: float) -> tuple[float, float]:
     """Abel limit of int_0^inf Re[l (a + b arctan(l/m)) e^{-2ilx}] dl at m >= 0.
 
-    Re[e^{-i phi} int_0^inf F(t e^{-i phi}) dt] on geometric panels, from a
-    first width that resolves the branch point -im (at distance m cos phi
-    from the ray) out to where e^{-2xt sin phi} = e^{-45}; arctan(l/m) is
-    continued as pi/2 - arctan(m/l).  Where m x <= 2^-52 the branch point
+    In s = 2lx, l e^{-2ilx} dl = s e^{-is} ds / (4x^2): 1/(4x^2) times
+    Re[e^{-i phi} int_0^inf F(t e^{-i phi}) dt], F(s) = s (a + b arctan(s/(2mx)))
+    e^{-is}, which depends on m x alone.  Geometric panels run from a first
+    width that resolves the branch point -2imx (at distance 2mx cos phi from
+    the ray) out to where e^{-t sin phi} = e^{-45}; arctan(s/(2mx)) is
+    continued as pi/2 - arctan(2mx/s).  Where m x <= 2^-52 the branch point
     moves the value by less than its rounding, so the first width is that of
-    m = 0, set by x alone.  Returns the
-    value at the first ray angle and its difference to the second; raises
-    NonConvergent when that difference exceeds _RAY_TOL relative.
+    m = 0.  Returns the value at the first ray angle, times 1/(4x^2), and its
+    difference to the second; raises NonConvergent when that difference
+    exceeds _RAY_TOL relative.
     """
-    scale = min(m, 1.0 / x) if m * x > 2.0 ** -52 else 1.0 / x
+    scale = m * x if 2.0 ** -52 < m * x < 1.0 else 1.0
     vals = []
     for phi in _RAY_ANGLES:
         rot = complex(math.cos(phi), -math.sin(phi))
-        edges = _graded_edges(0.0, 45.0 / (2.0 * x * math.sin(phi)), math.cos(phi) * scale / 4.0)
+        edges = _graded_edges(0.0, 45.0 / math.sin(phi), math.cos(phi) * scale / 2.0)
 
         def fn(t: np.ndarray) -> np.ndarray:
-            l = t * rot
-            return l * (a + b * (np.pi / 2 - np.arctan(m / l))) * np.exp(-2j * l * x)
+            s = t * rot
+            return s * (a + b * (np.pi / 2 - np.arctan(2.0 * m * x / s))) * np.exp(-1j * s)
 
-        vals.append(float((rot * quad(fn, edges)).real))
+        vals.append(float((rot * quad(fn, edges)).real) * 0.25 / x / x)
     err = abs(vals[0] - vals[1])
     if err > _RAY_TOL * abs(vals[0]):
         raise NonConvergent(f"ray values differ by {err:.3g}, value {vals[0]:.3g}")
@@ -126,28 +134,32 @@ def _abel_limit(m: float, x: float, a: float, b: float) -> tuple[float, float]:
 
 
 def oracle_edge_current(p: ModelParams, x: float) -> float:
-    """Edge current at x > 0, integrated over the occupied decay rates u = lam.
+    """Edge current at x > 0 and any m, integrated over the occupied decay rates lam.
 
-    Occupied means lam > 0 and E < -m.  Along the edge branch
-    E = (2 g lam - m (1+g^2))/(g^2-1), so E < -m reads g lam < m where
-    g (g^2-1) > 0 and g lam > m where g (g^2-1) < 0.  Each mode carries
-    (dk/pi) v_edge u e^{-2ux}, with the edge velocity v_edge = 2g/(1+g^2) and
-    |dk/du| = (1+g^2)/|g^2-1|, so the prefactor of int u e^{-2ux} du is
-    2g/|g^2-1|/pi, written in the homogeneous coordinates (a, b) of
-    params._homogeneous.  At gamma = inf no decay rate is occupied.
+    At m < 0 the current is minus the one at the exact reflection dual of
+    params._nonnegative_mass, as in the closed forms, so at either sign of m
+    the occupied edge states are those below E_F = -|m|.  At m >= 0, along
+    the edge branch E = (2 g lam - m (1+g^2))/(g^2-1), so with lam > 0,
+    E < -m reads lam < m/g where g (g^2-1) > 0 and lam > m/g where
+    g (g^2-1) < 0; in v = 2 x lam, v < 2mx/g and v > 2mx/g.  Each mode
+    carries (dk/pi) v_edge lam e^{-2 lam x}, with the edge velocity
+    v_edge = 2g/(1+g^2) and |dk/dlam| = (1+g^2)/|g^2-1|, so the current is
+    2g/|g^2-1|/pi times 1/(4x^2) int v e^{-v} dv over the occupied v,
+    written in the homogeneous coordinates (a, b) of params._homogeneous.
+    At gamma = inf no decay rate is occupied.
     """
     _reject_cpt_invariant(p)
     _check_x(x)
-    a, b = _homogeneous(p.gamma)
+    sign, m, a, b = _nonnegative_mass(p)
     if b == 0.0:
         return 0.0  # v_edge = 0: the edge spinor carries no j^2
-    u_fermi = p.m * a / b  # the decay rate at E = -m
-    lo, hi = (0.0, u_fermi) if (abs(b) > a) == (b > 0.0) else (max(0.0, u_fermi), math.inf)
-    hi = min(hi, lo + 40.0 / x)  # lo + 40/x rounds to lo where e^{-2 lo x} underflows
+    v_fermi = 2.0 * x * (m * a / b)  # v = 2 lam x at E = -m
+    lo, hi = (0.0, v_fermi) if (abs(b) > a) == (b > 0.0) else (max(0.0, v_fermi), math.inf)
+    hi = min(hi, lo + 80.0)  # lo + 80 rounds to lo where e^{-lo} underflows
     if not lo < hi:
         return 0.0
-    total = float(quad(lambda u: u * np.exp(-2.0 * u * x), _graded_edges(lo, hi, 0.5 / x)))
-    return 2.0 * a * b / (math.pi * abs((b - a) * (b + a))) * total
+    total = float(quad(lambda v: v * np.exp(-v), _graded_edges(lo, hi, 1.0))) * 0.25 / x / x
+    return sign * 2.0 * a * b / (math.pi * abs((b - a) * (b + a))) * total
 
 
 class BranchCutResult(NamedTuple):

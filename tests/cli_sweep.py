@@ -104,14 +104,19 @@ CASES = [
     *[Case(f"dual --m {m} --gamma {g} --which {w}", 0)
       for m, g in (("1", "0"), ("-1e-3", "-.5"), ("2", "inf"), ("1", "-1e200"), ("1", "-0.0"))
       for w in ("reflection", "cpt", "halfplane")],
-    # oracle FAILs: the m < 0, gamma < 0 edge Fermi level, and the branch cut beyond its reach
-    Case("oracle --m -1 --gamma -2 --x 1 --what edge", 1),
+    # the edge oracle at m < 0, at the exact reflection dual: one Fermi level, -|m|
+    Case("oracle --m -1 --gamma -2 --x 1 --what edge", 0),
+    *[Case(f"oracle --m -1 --gamma {g} --x 1 --what edge", 0) for g in GAMMAS],
+    # the branch cut beyond its reach (a FAIL), and where it underflows to 0
     Case("oracle --m 1 --x 20 --what branch-cut", 1),
     Case("oracle --m 1 --x 1e154 --what branch-cut", 0),
     # subnormal masses, where m x is below rounding: the rays of m = 0
     Case("oracle --m 1e-310 --x 1 --what bulk", 0),
     Case("oracle --m 5e-324 --x 1 --what branch-cut", 0),
     Case("oracle --m=-1e-310 --gamma 0.5 --x 5 --what bulk", 0),
+    # x next to the largest float, at m = 0 and at a subnormal m with m x just above 2^-52
+    *[Case(f"oracle --m {m} --x {x} --what {w}", 0)
+      for m, x in (("0", "1e308"), ("5e-324", "5e307")) for w in ("bulk", "branch-cut")],
     # usage errors (exit 2)
     Case("constraints", 2),
     Case("constraints --gammas 2 --solve 2", 2),

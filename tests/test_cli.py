@@ -245,12 +245,13 @@ def test_oracle_edge_pass(capsys):
                                     "--what", "edge"])
     assert code == 0
     assert out.splitlines()[1].endswith("PASS")
-    # m < 0: the closed form takes the reflection dual itself; at gamma > 0 both sides fill
-    # the same edge states
-    code, out, _ = run_cli(capsys, ["oracle", "--m", "-1", "--gamma", "0.5", "--x", "1",
-                                    "--what", "edge"])
-    assert code == 0
-    assert out.splitlines()[1].endswith(",PASS")
+    # m < 0: the closed form and the oracle both take the reflection dual, so at either sign
+    # of gamma both fill the edge states below -|m|
+    for gamma, x in (("0.5", "1"), ("-2", "1"), ("-0.5", "0.3")):
+        code, out, _ = run_cli(capsys, ["oracle", "--m", "-1", "--gamma", gamma, "--x", x,
+                                        "--what", "edge"])
+        assert code == 0
+        assert out.splitlines()[1].endswith(",PASS")
 
 
 @pytest.mark.parametrize("gamma, x", [("1e10", "1"), ("1e16", "0.05")])
@@ -510,12 +511,17 @@ def test_oracle_domain_errors_exit_3(capsys, argv):
     ["oracle", "--m", "1e-310", "--x", "1", "--what", "bulk"],
     ["oracle", "--m", "5e-324", "--x", "1", "--what", "branch-cut"],
     ["oracle", "--m=-1e-310", "--gamma", "0.5", "--x", "5", "--what", "bulk"],
+    ["oracle", "--m", "0", "--x", "1e308", "--what", "bulk"],
+    ["oracle", "--m", "0", "--x", "1e308", "--what", "branch-cut"],
+    ["oracle", "--m", "5e-324", "--x", "5e307", "--what", "bulk"],
+    ["oracle", "--m", "5e-324", "--x", "5e307", "--what", "branch-cut"],
 ])
 def test_oracle_bulk_and_branch_cut_on_the_whole_domain(capsys, argv):
     # gamma = 0 and inf (0 against 0), m < 0 at the exact reflection dual, and m = 0; at
     # x = 1e300, where x^2 overflows, 0 against 0 without numpy's RuntimeWarning; from
     # x = 1e154 the branch cut's contour form underflows to 0, and its Abel limit to 0 or
-    # below the normal range; at subnormal m, on the rays of m = 0
+    # below the normal range; at subnormal m, on the rays of m = 0; up to x = 1e308, where
+    # the rays in s = 2lx keep their panels and only the factor 1/(4x^2) underflows
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     assert out.splitlines()[1].endswith(",PASS")

@@ -2,12 +2,12 @@
 
 The closed forms are evaluated at 50 digits with mpmath, so each bound below
 is the oracle's own accuracy: m in [0, 1e-300] u [0.01, 2], subnormal m included
-(and its negative for the bulk),
+(and its negative for the edge and the bulk),
 x in [0.05, 5], gamma across the projective line, |gamma| from 1e-300 to 1e300 and
 down to 1e-3 from +-1.
 The draws stop at m <= 2 and x <= 5 (m x <= 10) because the ray rule of the
 bulk and branch-cut oracles is a cancellation: where the value is O(e^{-2mx}),
-its relative error grows like e^{2mx} (8.4e-10 for the branch cut at
+its relative error grows like e^{2mx} (9.7e-10 for the branch cut at
 m x = 10, a non-convergent FAIL at m x = 20; see edgecurrents.oracle).
 The singular coefficients, the total and the regular part are checked the
 same way, at 60 digits.
@@ -65,11 +65,17 @@ def bulk_reference(m: float, g: float, x: float):
 
 
 @fixed_examples
-@given(mass, projective_gamma, distance)
+@given(st.builds(lambda s, m: s * m, st.sampled_from([1.0, -1.0]), mass), projective_gamma, distance)
 @example(1.0, 1e30, 1.0)
+@example(-1.0, -2.0, 1.0)
+@example(-1.0, -0.5, 0.3)
 def test_edge_oracle_matches_closed_form(m, g, x):
+    # 0 at gamma = 0 and inf; at m < 0 minus the reference at the reflection dual -1/g, exactly
     with mp.workdps(50):
-        ref = edge_reference(m, g, x)
+        if m >= 0 or g is GAMMA_INFINITY or g == 0.0:
+            ref = edge_reference(m, g, x)
+        else:
+            ref = -edge_reference(-m, -1 / mp.mpf(g), x)
         # 1e-300: where the current underflows, the oracle returns 0
         assert abs(oracle_edge_current(ModelParams(m, as_gamma(g)), x) - ref) <= 1e-10 * abs(ref) + 1e-300
 
